@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect_left
 
 from .core import (
     DEFAULT_MAX_ENUM,
@@ -78,7 +79,75 @@ def _error_tag(exc: Exception) -> str:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    """Write ``json.dumps(obj, indent=2)`` and a newline to stdout.
+
+    The values of a top-level object are written one at a time, and
+    Dictionary values are streamed by :func:`_write_dictionary` instead
+    of being built as nested lists first.
+    """
+    write = sys.stdout.write
+    if not isinstance(obj, dict) or not obj:
+        write(json.dumps(obj, indent=2) + "\n")
+        return
+    sep = "{"
+    for key, value in obj.items():
+        write(f"{sep}\n  {json.dumps(key)}: ")
+        if isinstance(value, Dictionary):
+            _write_dictionary(write, value)
+        else:
+            # Encoded strings hold no raw newline, so this only re-indents.
+            write(json.dumps(value, indent=2).replace("\n", "\n  "))
+        sep = ","
+    write("\n}\n")
+
+
+class _NameBlocks(dict):
+    """Encoded member names of a half mask, one per line, built on first use."""
+
+    def __init__(self, encoded: list[str]):
+        super().__init__()
+        self.encoded = encoded
+
+    def __missing__(self, half: int) -> str:
+        block = "".join(
+            f",\n      {name}" for i, name in enumerate(self.encoded) if half >> i & 1
+        )[1:]
+        self[half] = block
+        return block
+
+
+def _write_dictionary(write, d: Dictionary) -> None:
+    """Write ``d.to_json_obj()`` as ``json.dumps(..., indent=2)`` lays out a top-level value.
+
+    An entry's text is its low half's name block joined with its high
+    half's, so each name is encoded once and each block is built once.
+    Entries sharing a high half are written together.
+    """
+    masks = d.masks()
+    if not masks:
+        write("[]")
+        return
+    names = [json.dumps(name) for name in d.universe.names]
+    k = (len(names) + 1) // 2
+    low, high = _NameBlocks(names[:k]), _NameBlocks(names[k:])
+    close = "\n    ]"
+    write("[\n    ")
+    i = 0
+    while i < len(masks):
+        h = masks[i] >> k
+        base = h << k
+        j = bisect_left(masks, base + (1 << k), i)
+        parts = []
+        if masks[i] == base:
+            parts.append(f"[{high[h]}{close}" if h else "[]")
+            i += 1
+        tail = f",{high[h]}{close}" if h else close
+        parts += ["[" + low[m - base] + tail for m in masks[i:j]]
+        write(",\n    ".join(parts))
+        if j < len(masks):
+            write(",\n    ")
+        i = j
+    write("\n  ]")
 
 
 def _score_json(value: float):
@@ -123,7 +192,9 @@ def _load_rule(path: str, vars_spec: str | None):
         if override is not None:
             u = override
         elif "vars" in obj:
-            u = make_universe(list(obj["vars"]))
+            if not isinstance(obj["vars"], list):
+                raise RuledictError(f"{path}: 'vars' must be an array of names")
+            u = make_universe(obj["vars"])
         else:
             raise RuledictError(f"{path}: no 'vars' field and no --vars given")
         return u, expr_from_json_obj(u, obj["rule"])
@@ -173,8 +244,8 @@ def _cmd_dict(args) -> int:
     payload = {
         "universe": list(u.names),
         "rule": format_rule(expr),
-        "size": len(d.entries),
-        "dictionary": d.to_json_obj(),
+        "size": len(d),
+        "dictionary": d,
     }
     if stages:
         payload["stages"] = [list(s.chosen) for s in stages.values()]
@@ -210,12 +281,12 @@ def _cmd_check(args) -> int:
     payload = {
         "method": args.method,
         "congruent": report.congruent,
-        "missing": report.missing.to_json_obj(),
-        "extra": report.extra.to_json_obj(),
+        "missing": report.missing,
+        "extra": report.extra,
     }
     if report.rule_family is not None:
-        payload["rule_family"] = report.rule_family.to_json_obj()
-        payload["method_family"] = report.method_family.to_json_obj()
+        payload["rule_family"] = report.rule_family
+        payload["method_family"] = report.method_family
     _emit(payload)
     return 0 if report.congruent else 1
 
@@ -273,7 +344,7 @@ def _cmd_from_dict(args) -> int:
     _emit(
         {
             "universe": list(u.names),
-            "size": len(d.entries),
+            "size": len(d),
             "rule": format_rule(expr),
         }
     )

@@ -4,16 +4,21 @@ A :class:`Universe` fixes an ordered list of covariate names. A
 :class:`VarSet` is one subset of those covariates, stored as a bit mask
 keyed by universe index (index 0 is the least significant bit). A
 :class:`Dictionary` is a deduplicated family of VarSets kept in canonical
-order: ascending by the integer value of the mask. Canonical order makes
-dictionary equality a positional comparison and keeps every serialized
-form bit-stable across runs.
+order: ascending by the integer value of the mask. It is stored as a
+bitmap over all ``2**n`` masks, or as a sorted mask tuple over more than
+:data:`BITMAP_MAX_VARS` covariates. Canonical order keeps every
+serialized form bit-stable across runs.
 
 All types are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -29,6 +34,9 @@ MAX_UNIVERSE = 64
 
 #: Default cap on the number of entries any full enumeration may produce.
 DEFAULT_MAX_ENUM = 2 ** 20
+
+#: Largest universe whose dictionaries are stored as a ``2**n``-bit map.
+BITMAP_MAX_VARS = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,47 +184,149 @@ class VarSet:
         return f"VarSet({self.to_text()})"
 
 
-@dataclass(frozen=True, slots=True)
 class Dictionary:
     """A family of VarSets in canonical order.
 
-    Entries are deduplicated and sorted ascending by mask value. The empty
+    Entries are deduplicated and listed ascending by mask value. The empty
     family (no permissible model at all) is distinct from the one-entry
     family containing only the empty VarSet (only the empty model).
+
+    Over at most :data:`BITMAP_MAX_VARS` covariates the family is stored as
+    one int with bit ``m`` set exactly when the subset with mask ``m`` is
+    admitted, so set algebra is integer bit algebra. A larger universe
+    cannot hold a ``2**n``-bit map; there the family is a sorted tuple of
+    masks. The choice depends on the universe size alone. ``masks()``,
+    ``entries`` and iteration are views built on first use.
     """
 
-    universe: Universe
-    entries: tuple[VarSet, ...] = field(default=())
+    __slots__ = ("universe", "_data", "_masks", "_entries")
+
+    def __init__(self, universe: Universe, entries: Iterable[VarSet] = ()):
+        self._set(universe, _pack(universe, (v.mask for v in entries)))
+
+    def _set(self, universe: Universe, data) -> None:
+        self.universe = universe
+        self._data = data
+        self._masks = None
+        self._entries = None
+
+    @classmethod
+    def _of(cls, universe: Universe, data) -> "Dictionary":
+        """Wrap already-packed data (a bitmap or a sorted mask tuple)."""
+        d = cls.__new__(cls)
+        d._set(universe, data)
+        return d
+
+    @property
+    def _bitmap(self) -> bool:
+        return self.universe.size <= BITMAP_MAX_VARS
 
     @classmethod
     def from_masks(cls, universe: Universe, masks: Iterable[int]) -> "Dictionary":
-        ordered = sorted(set(masks))
-        return cls(universe, tuple(VarSet(universe, m) for m in ordered))
+        """Build from masks in any order, duplicates allowed.
+
+        Raises
+        ------
+        UnknownVariable
+            If a mask is negative or has bits outside the universe.
+        """
+        return cls._of(universe, _pack(universe, masks))
 
     @classmethod
     def from_varsets(cls, universe: Universe, varsets: Iterable[VarSet]) -> "Dictionary":
-        return cls.from_masks(universe, (v.mask for v in varsets))
+        return cls(universe, varsets)
+
+    @classmethod
+    def of_counts(
+        cls, universe: Universe, scope_mask: int, counts: Iterable[int]
+    ) -> "Dictionary":
+        """Every subset whose overlap with ``scope_mask`` has one of ``counts`` members.
+
+        In a bitmap, setting bit ``i`` in every member is a shift by
+        ``2**i``, so the family is built by per-count doubling:
+        ``layers[c]`` holds the subsets of the scope variables seen so far
+        with ``c`` members, and each scope variable ``i`` ORs
+        ``layers[c - 1] << 2**i`` into ``layers[c]``. Over larger universes
+        the scope subsets of each wanted count are listed directly, since
+        the other layers can be far larger than the result. Each variable
+        outside the scope then doubles the family. Counts above the scope
+        size contribute nothing. The caller bounds the result size.
+        """
+        counts = sorted(c for c in counts if c <= scope_mask.bit_count())
+        scope = [i for i in range(universe.size) if scope_mask >> i & 1]
+        free = [i for i in range(universe.size) if not scope_mask >> i & 1]
+        if universe.size <= BITMAP_MAX_VARS:
+            layers = [1] + [0] * (counts[-1] if counts else 0)
+            for i in scope:
+                for c in range(len(layers) - 1, 0, -1):
+                    layers[c] |= layers[c - 1] << (1 << i)
+            bits = 0
+            for c in counts:
+                bits |= layers[c]
+            for i in free:
+                bits |= bits << (1 << i)
+            return cls._of(universe, bits)
+        masks = [sum(1 << i for i in combo) for c in counts for combo in combinations(scope, c)]
+        for i in free:
+            masks += [m | 1 << i for m in masks]
+        return cls._of(universe, tuple(sorted(masks)))
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(v.mask for v in self.entries)
+        """Entry masks in ascending order."""
+        if self._masks is None:
+            self._masks = _bit_positions(self._data) if self._bitmap else self._data
+        return self._masks
+
+    @property
+    def entries(self) -> tuple[VarSet, ...]:
+        """Entries as VarSets in canonical order."""
+        if self._entries is None:
+            self._entries = tuple(VarSet(self.universe, m) for m in self.masks())
+        return self._entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._data.bit_count() if self._bitmap else len(self._data)
 
     def __iter__(self) -> Iterator[VarSet]:
         return iter(self.entries)
 
     def __contains__(self, v: VarSet) -> bool:
-        return v.mask in set(self.masks())
+        if self._bitmap:
+            return bool(self._data >> v.mask & 1)
+        i = bisect_left(self._data, v.mask)
+        return i < len(self._data) and self._data[i] == v.mask
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dictionary):
+            return NotImplemented
+        return self.universe == other.universe and self._data == other._data
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self._data))
 
     def union(self, other: "Dictionary") -> "Dictionary":
-        return Dictionary.from_masks(self.universe, set(self.masks()) | set(other.masks()))
+        if self._bitmap:
+            return Dictionary._of(self.universe, self._data | other._data)
+        return Dictionary._of(self.universe, tuple(sorted(set(self._data).union(other._data))))
 
     def intersection(self, other: "Dictionary") -> "Dictionary":
-        return Dictionary.from_masks(self.universe, set(self.masks()) & set(other.masks()))
+        if self._bitmap:
+            return Dictionary._of(self.universe, self._data & other._data)
+        keep = set(other._data)
+        return Dictionary._of(self.universe, tuple(m for m in self._data if m in keep))
 
     def difference(self, other: "Dictionary") -> "Dictionary":
-        return Dictionary.from_masks(self.universe, set(self.masks()) - set(other.masks()))
+        if self._bitmap:
+            return Dictionary._of(self.universe, self._data & ~other._data)
+        drop = set(other._data)
+        return Dictionary._of(self.universe, tuple(m for m in self._data if m not in drop))
+
+    def within(self, v: VarSet) -> "Dictionary":
+        """Entries that are subsets of ``v``."""
+        outside = self.universe.full_mask & ~v.mask
+        if self._bitmap:
+            return self.intersection(Dictionary.of_counts(self.universe, outside, (0,)))
+        return Dictionary._of(self.universe, tuple(m for m in self._data if not m & outside))
 
     def to_text(self) -> str:
         """One entry per line in canonical order, brace form per entry."""
@@ -252,7 +362,30 @@ class Dictionary:
         return cls.from_varsets(universe, (VarSet.of_names(universe, e) for e in obj))
 
     def __repr__(self) -> str:
-        return f"Dictionary({len(self.entries)} entries)"
+        return f"Dictionary({len(self)} entries)"
+
+
+def _pack(universe: Universe, masks: Iterable[int]):
+    """Validated storage for a mask family: a bitmap or a sorted mask tuple."""
+    ordered = sorted(set(masks))
+    if ordered and (ordered[0] < 0 or ordered[-1] >> universe.size):
+        bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+        raise UnknownVariable(
+            f"mask {bad:#x} has bits outside the {universe.size}-covariate universe"
+        )
+    if universe.size > BITMAP_MAX_VARS:
+        return tuple(ordered)
+    buf = bytearray(((1 << universe.size) + 7) // 8)
+    for m in ordered:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _bit_positions(bits: int) -> tuple[int, ...]:
+    """Indices of the set bits of a non-negative int, ascending."""
+    # Little-endian digits split at each 1 leave the runs of 0s before them.
+    zero_runs = bin(bits)[:1:-1].split("1")[:-1]
+    return tuple(accumulate((len(run) + 1 for run in zero_runs), initial=-1))[1:]
 
 
 def parse_braced_names(universe: Universe, text: str, where: str = "") -> VarSet:
@@ -325,7 +458,7 @@ def powerset(u: Universe, max_entries: int = DEFAULT_MAX_ENUM) -> Dictionary:
         If ``2**u.size`` exceeds ``max_entries``.
     """
     require_enumerable(u, max_entries)
-    return Dictionary(u, tuple(VarSet(u, m) for m in range(1 << u.size)))
+    return Dictionary.of_counts(u, 0, (0,))
 
 
 def require_enumerable(u: Universe, max_entries: int = DEFAULT_MAX_ENUM) -> None:
@@ -338,7 +471,16 @@ def require_enumerable(u: Universe, max_entries: int = DEFAULT_MAX_ENUM) -> None
 
 def dictionary_support(d: Dictionary) -> VarSet:
     """Union of all entries; the empty VarSet for the empty Dictionary."""
-    mask = 0
-    for v in d.entries:
-        mask |= v.mask
+    if not d._bitmap:
+        return VarSet(d.universe, reduce(or_, d._data, 0))
+    # Fold the top variable away one at a time: the upper half of the
+    # bitmap holds the entries containing it, and OR-ing the halves keeps
+    # the rest of every entry.
+    bits, mask = d._data, 0
+    for i in reversed(range(d.universe.size)):
+        half = 1 << i
+        upper = bits >> half
+        if upper:
+            mask |= 1 << i
+        bits = (bits & ((1 << half) - 1)) | upper
     return VarSet(d.universe, mask)

@@ -190,7 +190,7 @@ def check_log_congruence(
     missing = d.difference(closure)
     extra = closure.difference(d)
     return CongruenceReport(
-        congruent=not missing.entries and not extra.entries,
+        congruent=not missing and not extra,
         missing=missing,
         extra=extra,
     )
@@ -214,7 +214,7 @@ def check_ogl_necessary(
     missing = rule_family.difference(method_family)
     extra = method_family.difference(rule_family)
     return CongruenceReport(
-        congruent=not missing.entries and not extra.entries,
+        congruent=not missing and not extra,
         missing=missing,
         extra=extra,
         rule_family=rule_family,

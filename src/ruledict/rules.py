@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Mapping
 
 from .core import (
@@ -35,6 +34,7 @@ from .errors import (
     EnumerationTooLarge,
     InvalidStageResult,
     MissingStageResult,
+    ParseError,
     UnsupportedForEquivalence,
 )
 
@@ -134,32 +134,32 @@ def unit_dictionary(
     EnumerationTooLarge
         If the exact entry count would exceed ``max_entries``.
     """
-    scope_bits = [i for i in range(u.size) if rule.scope.mask >> i & 1]
-    free_bits = [i for i in range(u.size) if not rule.scope.mask >> i & 1]
     if not is_coherent(rule):
         return Dictionary(u)
-    usable = sorted(c for c in rule.constraint.counts if c <= len(scope_bits))
-    count = sum(math.comb(len(scope_bits), c) for c in usable) * (1 << len(free_bits))
+    width = len(rule.scope)
+    count = sum(math.comb(width, c) for c in rule.constraint.counts) << (u.size - width)
     if count > max_entries:
         raise EnumerationTooLarge(
             f"unit dictionary would have {count} entries, over the cap of {max_entries}"
         )
-    a_masks = []
-    for c in usable:
-        for combo in combinations(scope_bits, c):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            a_masks.append(m)
-    masks = []
-    for b_sel in range(1 << len(free_bits)):
-        b = 0
-        for j, i in enumerate(free_bits):
-            if b_sel >> j & 1:
-                b |= 1 << i
-        for a in a_masks:
-            masks.append(a | b)
-    return Dictionary.from_masks(u, masks)
+    return Dictionary.of_counts(u, rule.scope.mask, rule.constraint.counts)
+
+
+def _negate(u: Universe, d: Dictionary, max_entries: int) -> Dictionary:
+    return powerset(u, max_entries).difference(d)
+
+
+def _implies(u: Universe, d1: Dictionary, d2: Dictionary, max_entries: int) -> Dictionary:
+    # Outside d1 anything passes; inside it, d2 must hold too: not d1 or d2.
+    return _negate(u, d1, max_entries).union(d2)
+
+
+_BINARY = {
+    And: lambda u, d1, d2, cap: d1.intersection(d2),
+    Or: lambda u, d1, d2, cap: d1.union(d2),
+    Implies: _implies,
+}
+_OP_NODES = {"and": And, "or": Or, "implies": Implies}
 
 
 def combine(
@@ -185,29 +185,24 @@ def combine(
     if op == "not":
         if d2 is not None:
             raise ArityMismatch("'not' takes a single dictionary")
-        return powerset(u, max_entries).difference(d1)
+        return _negate(u, d1, max_entries)
     if d2 is None:
         raise ArityMismatch(f"{op!r} needs two dictionaries")
-    if op == "and":
-        return d1.intersection(d2)
-    if op == "or":
-        return d1.union(d2)
-    if op == "implies":
-        return powerset(u, max_entries).difference(d1).union(d1.intersection(d2))
-    raise ArityMismatch(f"unknown operation {op!r}")
+    if op not in _OP_NODES:
+        raise ArityMismatch(f"unknown operation {op!r}")
+    return _BINARY[_OP_NODES[op]](u, d1, d2, max_entries)
 
 
 def sequential_restrict(d2: Dictionary, stage: StageResult) -> Dictionary:
     """Entries of the second-stage dictionary contained in the first-stage outcome."""
-    keep = [v for v in d2 if v.issubset(stage.chosen)]
-    return Dictionary.from_varsets(d2.universe, keep)
+    return d2.within(stage.chosen)
 
 
 def _check_sequential_scopes(d1: Dictionary, d2: Dictionary) -> None:
-    if dictionary_support(d1).mask != dictionary_support(d2).mask:
+    s1, s2 = dictionary_support(d1), dictionary_support(d2)
+    if s1 != s2:
         warnings.warn(
-            "sequential stages select over different variables "
-            f"({dictionary_support(d1).to_text()} vs {dictionary_support(d2).to_text()})",
+            f"sequential stages select over different variables ({s1.to_text()} vs {s2.to_text()})",
             SequentialScopeWarning,
             stacklevel=3,
         )
@@ -245,46 +240,24 @@ def eval_rule(
     if isinstance(expr, Unit):
         return unit_dictionary(u, expr.rule, max_entries)
     if isinstance(expr, Not):
-        return combine("not", u, eval_rule(u, expr.child, stages, max_entries), max_entries=max_entries)
-    if isinstance(expr, And):
-        return combine(
-            "and",
-            u,
-            eval_rule(u, expr.left, stages, max_entries),
-            eval_rule(u, expr.right, stages, max_entries),
-            max_entries=max_entries,
+        return _negate(u, eval_rule(u, expr.child, stages, max_entries), max_entries)
+    if not isinstance(expr, (And, Or, Implies, Sequential)):
+        raise TypeError(f"not a rule expression: {expr!r}")
+    d1 = eval_rule(u, expr.left, stages, max_entries)
+    d2 = eval_rule(u, expr.right, stages, max_entries)
+    if not isinstance(expr, Sequential):
+        return _BINARY[type(expr)](u, d1, d2, max_entries)
+    _check_sequential_scopes(d1, d2)
+    if expr not in stages:
+        raise MissingStageResult(
+            "sequential rule needs the outcome chosen by its first stage"
         )
-    if isinstance(expr, Or):
-        return combine(
-            "or",
-            u,
-            eval_rule(u, expr.left, stages, max_entries),
-            eval_rule(u, expr.right, stages, max_entries),
-            max_entries=max_entries,
+    stage = stages[expr]
+    if stage.chosen not in d1:
+        raise InvalidStageResult(
+            f"stage outcome {stage.chosen.to_text()} is not permitted by the first stage"
         )
-    if isinstance(expr, Implies):
-        return combine(
-            "implies",
-            u,
-            eval_rule(u, expr.left, stages, max_entries),
-            eval_rule(u, expr.right, stages, max_entries),
-            max_entries=max_entries,
-        )
-    if isinstance(expr, Sequential):
-        d1 = eval_rule(u, expr.left, stages, max_entries)
-        d2 = eval_rule(u, expr.right, stages, max_entries)
-        _check_sequential_scopes(d1, d2)
-        if expr not in stages:
-            raise MissingStageResult(
-                "sequential rule needs the outcome chosen by its first stage"
-            )
-        stage = stages[expr]
-        if stage.chosen not in d1:
-            raise InvalidStageResult(
-                f"stage outcome {stage.chosen.to_text()} is not permitted by the first stage"
-            )
-        return sequential_restrict(d2, stage)
-    raise TypeError(f"not a rule expression: {expr!r}")
+    return sequential_restrict(d2, stage)
 
 
 def stage_outcomes(
@@ -384,18 +357,39 @@ def expr_to_json_obj(expr: RuleExpr) -> dict:
     raise TypeError(f"not a rule expression: {expr!r}")
 
 
+def _json_field(obj, key: str, kind: type = object):
+    """``obj[key]``, or ParseError when ``obj`` is no object, lacks it, or it is not a ``kind``."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"rule node must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ParseError(f"rule node {obj.get('op', '?')!r} has no {key!r} field")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ParseError(f"rule node field {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def expr_from_json_obj(u: Universe, obj: dict) -> RuleExpr:
-    """Inverse of :func:`expr_to_json_obj` against a known universe."""
-    op = obj.get("op")
+    """Inverse of :func:`expr_to_json_obj` against a known universe.
+
+    Raises
+    ------
+    ParseError
+        If a node is not an object or lacks a field its ``op`` needs.
+    """
+    op = _json_field(obj, "op")
     if op == "unit":
-        scope = VarSet.of_names(u, obj["scope"])
-        counts = ConstraintSet(frozenset(int(c) for c in obj["counts"]))
-        return Unit(UnitRule(scope, counts))
+        scope = VarSet.of_names(u, _json_field(obj, "scope", list))
+        counts = _json_field(obj, "counts", list)
+        if not all(isinstance(c, int) for c in counts):
+            raise ParseError(f"rule node counts must be integers, got {counts!r}")
+        return Unit(UnitRule(scope, ConstraintSet(frozenset(counts))))
     if op == "not":
-        return Not(expr_from_json_obj(u, obj["child"]))
+        return Not(expr_from_json_obj(u, _json_field(obj, "child")))
     tags = {"and": And, "or": Or, "implies": Implies, "seq": Sequential}
     if op in tags:
         return tags[op](
-            expr_from_json_obj(u, obj["left"]), expr_from_json_obj(u, obj["right"])
+            expr_from_json_obj(u, _json_field(obj, "left")),
+            expr_from_json_obj(u, _json_field(obj, "right")),
         )
     raise ArityMismatch(f"unknown rule op {op!r}")

@@ -263,7 +263,7 @@ def select_best(
             raise DatasetTooSmall(f"{folds} folds but only {d.n} rows")
     elif folds is not None:
         raise ValueError(f"folds only applies to criterion 'cv', not {criterion!r}")
-    if not D.entries:
+    if not D:
         raise EmptyDictionary(
             "the dictionary is empty (an incoherent rule admits no subsets), "
             "so there is nothing to select from"
@@ -298,5 +298,5 @@ def select_best(
         )
     scored.sort(key=lambda m: (m.score, len(m.subset), m.subset.mask))
     result = RankedModels(criterion=criterion, models=tuple(scored))
-    assert result.best.subset.mask in set(D.masks())
+    assert result.best.subset in D
     return result

@@ -13,6 +13,18 @@ import sys
 
 import pytest
 
+from ruledict import (
+    GroupingStructure,
+    StageResult,
+    check_ogl_necessary,
+    eval_rule,
+    format_rule,
+    make_universe,
+    parse_rule,
+    sequential_nodes,
+)
+from ruledict.core import parse_braced_names
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RULES = "fixtures/rules"
 GROUPS = "fixtures/groupings"
@@ -204,6 +216,131 @@ class TestDictCommand:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error:")
+
+
+class TestMalformedRuleJson:
+    UNIT = {"op": "unit", "counts": [1], "scope": ["A"]}
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vars": ["A", "B"], "rule": {"op": "unit"}},
+            {"vars": ["A", "B"], "rule": [1]},
+            {"vars": ["A", "B"], "rule": {"counts": [1], "scope": ["A"]}},
+            {"vars": ["A", "B"], "rule": {"op": "and", "left": UNIT}},
+            {"vars": ["A", "B"], "rule": {"op": "not", "child": 3}},
+            {"vars": ["A", "B"], "rule": {"op": "unit", "counts": [1], "scope": "A"}},
+            {"vars": ["A", "B"], "rule": {"op": "unit", "counts": [[1]], "scope": ["A"]}},
+            {"vars": ["A", "B"], "rule": {"op": "unit", "counts": [1.9], "scope": ["A"]}},
+            {"vars": 5, "rule": UNIT},
+        ],
+        ids=["no-scope", "array-node", "no-op", "no-right", "number-child",
+             "string-scope", "nested-count", "fractional-count", "number-vars"],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, doc):
+        rule = tmp_path / "r.rule.json"
+        rule.write_text(json.dumps(doc))
+        proc = run_cli("dict", "--rule", str(rule))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error:")
+        assert proc.stderr.count(b"\n") == 1
+
+
+def _dict_stdout(u, text, stage_specs=()):
+    """What ``dict`` must print, built from the library and ``json.dumps``."""
+    expr = parse_rule(text, u)
+    stages = {
+        node: StageResult(parse_braced_names(u, spec))
+        for node, spec in zip(sequential_nodes(expr), stage_specs)
+    }
+    d = eval_rule(u, expr, stages=stages or None)
+    payload = {
+        "universe": list(u.names),
+        "rule": format_rule(expr),
+        "size": len(d),
+        "dictionary": d.to_json_obj(),
+    }
+    if stages:
+        payload["stages"] = [list(s.chosen) for s in stages.values()]
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+ESCAPED_VARS = 'A,B,C,D,q"x,\u00e9'
+
+
+class TestDictionaryWriter:
+    """Streamed dictionary output is byte-identical to ``json.dumps(indent=2)``."""
+
+    @pytest.mark.parametrize(
+        "text,stages",
+        [
+            ("select {3} of {A,B}", []),
+            ("select {0} of {A,B,C,D}", []),
+            ("select {1,2} of {A,B} or not select {1} of {C,D}", []),
+            ("(select {0,2} of {A,B} and select {0,2} of {C,D})\n"
+             "  => (select {0,1,2} of {A,B} and select {0,1,2} of {C,D})", ["{A,B}"]),
+        ],
+        ids=["empty", "only-empty-set", "escaped-names", "with-stage"],
+    )
+    def test_dict(self, tmp_path, text, stages):
+        u = make_universe(ESCAPED_VARS.split(","))
+        rule = tmp_path / "r.rule"
+        rule.write_text(text + "\n")
+        argv = ["dict", "--rule", str(rule), "--vars", ESCAPED_VARS]
+        for spec in stages:
+            argv += ["--stage", spec]
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == _dict_stdout(u, text, stages)
+
+    def test_dict_on_64_variables(self, tmp_path):
+        names = [f"v{i}" for i in range(64)]
+        u = make_universe(names)
+        scope = names[6:]
+        text = f"select {{0,1,58}} of {{{','.join(scope)}}}"
+        rule = tmp_path / "r.rule"
+        rule.write_text(f"vars: {', '.join(names)}\n{text}\n")
+        proc = run_cli("dict", "--rule", str(rule))
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == _dict_stdout(u, text)
+        payload = json.loads(proc.stdout)
+        assert payload["size"] == (1 + 58 + 1) << 6
+        masks = [sum(1 << u.index(name) for name in entry) for entry in payload["dictionary"]]
+        assert masks == sorted(set(masks))
+        assert all(sum(1 for name in entry if name in scope) in (0, 1, 58)
+                   for entry in payload["dictionary"])
+
+    @pytest.mark.parametrize(
+        "text,groups",
+        [
+            ("select {0,2} of {A,B} and select {0,2} of {C,D}",
+             [["A", "B"], ["C", "D"], ['q"x'], ["\u00e9"]]),
+            ("select {1,2} of {A,B}", [["A"], ["B", "C", "D"], ['q"x', "\u00e9"]]),
+        ],
+        ids=["congruent", "not-congruent"],
+    )
+    def test_check_ogl(self, tmp_path, text, groups):
+        u = make_universe(ESCAPED_VARS.split(","))
+        rule = tmp_path / "r.rule"
+        rule.write_text(text + "\n")
+        grouping = tmp_path / "g.json"
+        grouping.write_text(json.dumps(groups))
+        proc = run_cli("check", "--rule", str(rule), "--vars", ESCAPED_VARS,
+                       "--grouping", str(grouping), "--method", "ogl")
+        report = check_ogl_necessary(
+            eval_rule(u, parse_rule(text, u)), GroupingStructure.of_names(u, groups)
+        )
+        payload = {
+            "method": "ogl",
+            "congruent": report.congruent,
+            "missing": report.missing.to_json_obj(),
+            "extra": report.extra.to_json_obj(),
+            "rule_family": report.rule_family.to_json_obj(),
+            "method_family": report.method_family.to_json_obj(),
+        }
+        assert proc.returncode == (0 if report.congruent else 1), proc.stderr.decode()
+        assert proc.stdout == (json.dumps(payload, indent=2) + "\n").encode()
 
 
 class TestEquivCommand:

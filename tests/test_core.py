@@ -116,6 +116,12 @@ class TestDictionary:
         assert len(only_empty) == 1
         assert nothing != only_empty
 
+    def test_masks_outside_universe_rejected(self, abc):
+        with pytest.raises(UnknownVariable):
+            Dictionary.from_masks(abc, [1 << 3])
+        with pytest.raises(UnknownVariable):
+            Dictionary.from_masks(abc, [-1])
+
     def test_membership(self, abc):
         d = Dictionary.from_masks(abc, [0b011])
         assert VarSet.of_names(abc, ["A", "B"]) in d

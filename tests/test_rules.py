@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 
@@ -358,3 +359,70 @@ class TestExprJson:
     def test_unknown_op_rejected(self, abcd):
         with pytest.raises(ArityMismatch):
             expr_from_json_obj(abcd, {"op": "xor"})
+
+
+def _count_in(scope_mask, counts):
+    return lambda m: (m & scope_mask).bit_count() in counts
+
+
+@pytest.mark.parametrize("n", [20, 24, 25, 40, 64])
+class TestLargeUniverses:
+    """Both dictionary representations and the boundary between them.
+
+    Up to 24 covariates a dictionary is a bitmap, above that a mask
+    tuple. Each unit scope leaves 6 covariates free, so high bits are
+    set and the dictionaries stay small; membership is checked against
+    the per-mask popcount predicate.
+    """
+
+    def units(self, n):
+        rng = random.Random(20261018 + n)
+        u = make_universe([f"v{i}" for i in range(n)])
+        out = []
+        for counts_of in (lambda s: {0, 1, s}, lambda s: {s - 1, s}):
+            free = rng.sample(range(n), 6)
+            scope = u.full_mask & ~sum(1 << i for i in free)
+            counts = counts_of(scope.bit_count())
+            rule = UnitRule(VarSet(u, scope), ConstraintSet(frozenset(counts)))
+            out.append((Unit(rule), scope, counts))
+        return u, rng, out
+
+    def probes(self, rng, u, listed):
+        """1,000 seeded masks: half uniform, half a listed mask with one bit flipped."""
+        out = [rng.getrandbits(u.size) for _ in range(500)]
+        out += [rng.choice(listed) ^ 1 << rng.randrange(u.size) for _ in range(500)]
+        return out
+
+    def assert_exact(self, rng, u, d, member, size):
+        masks = d.masks()
+        assert len(d) == size
+        assert list(masks) == sorted(set(masks))
+        assert all(member(m) for m in masks)
+        for m in self.probes(rng, u, masks):
+            assert (VarSet(u, m) in d) == member(m)
+
+    def test_units_and_or(self, n):
+        u, rng, ((e1, s1, c1), (e2, s2, c2)) = self.units(n)
+        p1, p2 = _count_in(s1, c1), _count_in(s2, c2)
+        d1, d2 = eval_rule(u, e1), eval_rule(u, e2)
+        for d, scope, counts, p in ((d1, s1, c1, p1), (d2, s2, c2, p2)):
+            width = scope.bit_count()
+            size = sum(math.comb(width, c) for c in counts) << (n - width)
+            self.assert_exact(rng, u, d, p, size)
+        both = sum(1 for m in d1.masks() if p2(m))
+        self.assert_exact(rng, u, eval_rule(u, And(e1, e2)), lambda m: p1(m) and p2(m), both)
+        self.assert_exact(
+            rng, u, eval_rule(u, Or(e1, e2)), lambda m: p1(m) or p2(m), len(d1) + len(d2) - both
+        )
+
+    def test_sequential_stage(self, n):
+        u, rng, ((e1, s1, c1), (e2, s2, c2)) = self.units(n)
+        d1 = eval_rule(u, e1)
+        chosen = max(d1.masks())
+        node = Sequential(e1, e2)
+        d = eval_rule(u, node, stages={node: StageResult(VarSet(u, chosen))})
+        p2 = _count_in(s2, c2)
+        inside = lambda m: p2(m) and not m & ~chosen
+        size = sum(1 for m in eval_rule(u, e2).masks() if inside(m))
+        assert size > 0
+        self.assert_exact(rng, u, d, inside, size)

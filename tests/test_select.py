@@ -256,6 +256,19 @@ class TestSelectBest:
         assert len(result.models) == 2
         assert {m.subset.mask for m in result.models} == {0, 0b100}
 
+    def test_thirty_variable_universe(self):
+        # Past the bitmap boundary: the dictionary is a mask tuple.
+        u = make_universe([f"v{i}" for i in range(30)])
+        rng = np.random.default_rng(20261018)
+        X = rng.normal(size=(200, 30))
+        y = 2.0 * X[:, 28] - 1.0 * X[:, 29] + 0.1 * rng.normal(size=200)
+        data = Dataset(universe=u, outcome="Y", X=X, y=y)
+        masks = [0, 1 << 28, 1 << 29, 3 << 28, 1 | 3 << 28]
+        result = select_best(data, Dictionary.from_masks(u, masks), "bic")
+        assert sorted(m.subset.mask for m in result.models) == masks
+        assert result.best.subset.names() == ("v28", "v29")
+        assert result.best.coefficients == pytest.approx((2.0, -1.0), abs=0.05)
+
     def test_empty_dictionary(self, abc):
         d = linear_dataset(abc)
         with pytest.raises(EmptyDictionary):
