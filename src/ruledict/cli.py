@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from bisect import bisect_left
 
 from .core import (
     DEFAULT_MAX_ENUM,
@@ -101,52 +100,41 @@ def _emit(obj) -> None:
     write("\n}\n")
 
 
-class _NameBlocks(dict):
-    """Encoded member names of a half mask, one per line, built on first use."""
-
-    def __init__(self, encoded: list[str]):
-        super().__init__()
-        self.encoded = encoded
-
-    def __missing__(self, half: int) -> str:
-        block = "".join(
-            f",\n      {name}" for i, name in enumerate(self.encoded) if half >> i & 1
-        )[1:]
-        self[half] = block
-        return block
+#: Dictionary entries per stdout write.
+_WRITE_BATCH = 4096
 
 
 def _write_dictionary(write, d: Dictionary) -> None:
     """Write ``d.to_json_obj()`` as ``json.dumps(..., indent=2)`` lays out a top-level value.
 
-    An entry's text is its low half's name block joined with its high
-    half's, so each name is encoded once and each block is built once.
-    Entries sharing a high half are written together.
+    Each name is encoded once. An entry's text joins the name block of
+    its low half mask with that of its high half, each block built once,
+    and the entries go out in batches of :data:`_WRITE_BATCH`.
     """
     masks = d.masks()
     if not masks:
         write("[]")
         return
-    names = [json.dumps(name) for name in d.universe.names]
+    names = [f",\n      {json.dumps(name)}" for name in d.universe.names]
     k = (len(names) + 1) // 2
-    low, high = _NameBlocks(names[:k]), _NameBlocks(names[k:])
-    close = "\n    ]"
-    write("[\n    ")
-    i = 0
-    while i < len(masks):
-        h = masks[i] >> k
-        base = h << k
-        j = bisect_left(masks, base + (1 << k), i)
-        parts = []
-        if masks[i] == base:
-            parts.append(f"[{high[h]}{close}" if h else "[]")
-            i += 1
-        tail = f",{high[h]}{close}" if h else close
-        parts += ["[" + low[m - base] + tail for m in masks[i:j]]
-        write(",\n    ".join(parts))
-        if j < len(masks):
-            write(",\n    ")
-        i = j
+    low_mask = (1 << k) - 1
+
+    def blocks(halves, part):
+        return {h: "".join([name for i, name in enumerate(part) if h >> i & 1]) for h in halves}
+
+    # Every block starts with a comma, which the first name of an entry drops.
+    head = {h: "[" + b[1:] for h, b in blocks({m & low_mask for m in masks}, names[:k]).items()}
+    tail = {h: b + "\n    ]" for h, b in blocks({m >> k for m in masks}, names[k:]).items()}
+    sep = "[\n    "
+    for start in range(0, len(masks), _WRITE_BATCH):
+        entries = [
+            head[low] + tail[m >> k] if (low := m & low_mask)
+            else "[" + tail[m >> k][1:] if m
+            else "[]"
+            for m in masks[start:start + _WRITE_BATCH]
+        ]
+        write(sep + ",\n    ".join(entries))
+        sep = ",\n    "
     write("\n  ]")
 
 

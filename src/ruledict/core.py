@@ -36,7 +36,12 @@ MAX_UNIVERSE = 64
 DEFAULT_MAX_ENUM = 2 ** 20
 
 #: Largest universe whose dictionaries are stored as a ``2**n``-bit map.
-BITMAP_MAX_VARS = 24
+#: Every bitmap operation costs O(2**n) whatever the family size. Up to 20
+#: covariates the powerset fits under the default enumeration cap, and a
+#: bitmap beats a mask tuple on large families while costing at most a few
+#: milliseconds on small ones. Above 20 a family under the default cap
+#: fills at most half of the map, and the tuple wins on small families.
+BITMAP_MAX_VARS = 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,10 +198,11 @@ class Dictionary:
 
     Over at most :data:`BITMAP_MAX_VARS` covariates the family is stored as
     one int with bit ``m`` set exactly when the subset with mask ``m`` is
-    admitted, so set algebra is integer bit algebra. A larger universe
-    cannot hold a ``2**n``-bit map; there the family is a sorted tuple of
-    masks. The choice depends on the universe size alone. ``masks()``,
-    ``entries`` and iteration are views built on first use.
+    admitted, so set algebra is integer bit algebra. Over a larger
+    universe the family is a sorted tuple of masks, since there the map
+    costs more than it saves. The choice depends on the universe size
+    alone. ``masks()``, ``entries`` and iteration are views built on
+    first use.
     """
 
     __slots__ = ("universe", "_data", "_masks", "_entries")
@@ -252,7 +258,7 @@ class Dictionary:
         outside the scope then doubles the family. Counts above the scope
         size contribute nothing. The caller bounds the result size.
         """
-        counts = sorted(c for c in counts if c <= scope_mask.bit_count())
+        counts = sorted({c for c in counts if c <= scope_mask.bit_count()})
         scope = [i for i in range(universe.size) if scope_mask >> i & 1]
         free = [i for i in range(universe.size) if not scope_mask >> i & 1]
         if universe.size <= BITMAP_MAX_VARS:
@@ -304,18 +310,28 @@ class Dictionary:
     def __hash__(self) -> int:
         return hash((self.universe, self._data))
 
+    def _require_same_universe(self, other: "Dictionary") -> None:
+        if self.universe != other.universe:
+            raise UnknownVariable(
+                f"cannot combine dictionaries over different universes "
+                f"({self.universe.size} and {other.universe.size} covariates)"
+            )
+
     def union(self, other: "Dictionary") -> "Dictionary":
+        self._require_same_universe(other)
         if self._bitmap:
             return Dictionary._of(self.universe, self._data | other._data)
         return Dictionary._of(self.universe, tuple(sorted(set(self._data).union(other._data))))
 
     def intersection(self, other: "Dictionary") -> "Dictionary":
+        self._require_same_universe(other)
         if self._bitmap:
             return Dictionary._of(self.universe, self._data & other._data)
         keep = set(other._data)
         return Dictionary._of(self.universe, tuple(m for m in self._data if m in keep))
 
     def difference(self, other: "Dictionary") -> "Dictionary":
+        self._require_same_universe(other)
         if self._bitmap:
             return Dictionary._of(self.universe, self._data & ~other._data)
         drop = set(other._data)

@@ -145,20 +145,18 @@ def unit_dictionary(
     return Dictionary.of_counts(u, rule.scope.mask, rule.constraint.counts)
 
 
-def _negate(u: Universe, d: Dictionary, max_entries: int) -> Dictionary:
-    return powerset(u, max_entries).difference(d)
-
-
-def _implies(u: Universe, d1: Dictionary, d2: Dictionary, max_entries: int) -> Dictionary:
+def _binary(
+    kind: type, u: Universe, d1: Dictionary, d2: Dictionary, max_entries: int
+) -> Dictionary:
+    """``d1`` and, or or implies ``d2``, as ``kind`` is And, Or or Implies."""
+    if kind is And:
+        return d1.intersection(d2)
+    if kind is Or:
+        return d1.union(d2)
     # Outside d1 anything passes; inside it, d2 must hold too: not d1 or d2.
-    return _negate(u, d1, max_entries).union(d2)
+    return powerset(u, max_entries).difference(d1).union(d2)
 
 
-_BINARY = {
-    And: lambda u, d1, d2, cap: d1.intersection(d2),
-    Or: lambda u, d1, d2, cap: d1.union(d2),
-    Implies: _implies,
-}
 _OP_NODES = {"and": And, "or": Or, "implies": Implies}
 
 
@@ -185,12 +183,12 @@ def combine(
     if op == "not":
         if d2 is not None:
             raise ArityMismatch("'not' takes a single dictionary")
-        return _negate(u, d1, max_entries)
+        return powerset(u, max_entries).difference(d1)
     if d2 is None:
         raise ArityMismatch(f"{op!r} needs two dictionaries")
     if op not in _OP_NODES:
         raise ArityMismatch(f"unknown operation {op!r}")
-    return _BINARY[_OP_NODES[op]](u, d1, d2, max_entries)
+    return _binary(_OP_NODES[op], u, d1, d2, max_entries)
 
 
 def sequential_restrict(d2: Dictionary, stage: StageResult) -> Dictionary:
@@ -240,13 +238,13 @@ def eval_rule(
     if isinstance(expr, Unit):
         return unit_dictionary(u, expr.rule, max_entries)
     if isinstance(expr, Not):
-        return _negate(u, eval_rule(u, expr.child, stages, max_entries), max_entries)
+        return powerset(u, max_entries).difference(eval_rule(u, expr.child, stages, max_entries))
     if not isinstance(expr, (And, Or, Implies, Sequential)):
         raise TypeError(f"not a rule expression: {expr!r}")
     d1 = eval_rule(u, expr.left, stages, max_entries)
     d2 = eval_rule(u, expr.right, stages, max_entries)
     if not isinstance(expr, Sequential):
-        return _BINARY[type(expr)](u, d1, d2, max_entries)
+        return _binary(type(expr), u, d1, d2, max_entries)
     _check_sequential_scopes(d1, d2)
     if expr not in stages:
         raise MissingStageResult(

@@ -311,6 +311,17 @@ class TestDictionaryWriter:
         assert all(sum(1 for name in entry if name in scope) in (0, 1, 58)
                    for entry in payload["dictionary"])
 
+    def test_several_write_batches(self, capsys):
+        from ruledict import cli
+        from ruledict.core import powerset
+
+        u = make_universe([f"v{i}" for i in range(13)] + ESCAPED_VARS.split(",")[-2:])
+        d = powerset(u)
+        assert len(d) > 2 * cli._WRITE_BATCH
+        cli._emit({"size": len(d), "dictionary": d})
+        expected = {"size": len(d), "dictionary": d.to_json_obj()}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "text,groups",
         [

@@ -134,6 +134,27 @@ class TestDictionary:
         assert d1.intersection(d2).masks() == (2,)
         assert d1.difference(d2).masks() == (0, 1)
 
+    @pytest.mark.parametrize("n1, n2", [(3, 4), (3, 30), (21, 30)])
+    def test_set_algebra_rejects_other_universe(self, n1, n2):
+        u1 = make_universe([f"v{i}" for i in range(n1)])
+        u2 = make_universe([f"v{i}" for i in range(n2)])
+        d1 = Dictionary.from_masks(u1, [0, 1])
+        d2 = Dictionary.from_masks(u2, [1, 1 << (n2 - 1)])
+        for a, b in ((d1, d2), (d2, d1)):
+            for op in (a.union, a.intersection, a.difference):
+                with pytest.raises(UnknownVariable):
+                    op(b)
+
+    @pytest.mark.parametrize("n", [3, 25])
+    def test_of_counts_ignores_repeated_counts(self, n):
+        u = make_universe([f"v{i}" for i in range(n)])
+        scope = u.full_mask >> 2
+        once = Dictionary.of_counts(u, scope, [1])
+        twice = Dictionary.of_counts(u, scope, [1, 1])
+        assert twice == once
+        assert len(twice) == (n - 2) * 4
+        assert twice.masks() == tuple(sorted(set(twice.masks())))
+
     def test_text_round_trip(self, abc):
         d = Dictionary.from_masks(abc, [0, 0b101, 0b111])
         text = d.to_text()

@@ -365,11 +365,11 @@ def _count_in(scope_mask, counts):
     return lambda m: (m & scope_mask).bit_count() in counts
 
 
-@pytest.mark.parametrize("n", [20, 24, 25, 40, 64])
+@pytest.mark.parametrize("n", [20, 21, 24, 25, 40, 64])
 class TestLargeUniverses:
     """Both dictionary representations and the boundary between them.
 
-    Up to 24 covariates a dictionary is a bitmap, above that a mask
+    Up to 20 covariates a dictionary is a bitmap, above that a mask
     tuple. Each unit scope leaves 6 covariates free, so high bits are
     set and the dictionaries stay small; membership is checked against
     the per-mask popcount predicate.
