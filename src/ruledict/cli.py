@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .core import (
@@ -28,7 +29,7 @@ from .core import (
     make_universe,
     parse_braced_names,
 )
-from .dsl import format_rule, parse_rule, read_rule_document
+from .dsl import format_rule, read_rule_document
 from .errors import (
     EmptyDictionary,
     IncompatibleGrouping,
@@ -68,13 +69,8 @@ _DOMAIN_ERRORS = (
 
 
 def _error_tag(exc: Exception) -> str:
-    name = type(exc).__name__
-    out = []
-    for i, ch in enumerate(name):
-        if ch.isupper() and i > 0:
-            out.append("-")
-        out.append(ch.lower())
-    return "".join(out)
+    """The kebab-case form of the error's class name."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
 def _emit(obj) -> None:
@@ -164,6 +160,18 @@ def _parse_vars(spec: str | None) -> Universe | None:
     return make_universe(names)
 
 
+def _read(path: str):
+    """The text of ``path``, or its decoded JSON when it is named *.json."""
+    with open(path) as fh:
+        text = fh.read()
+    if not path.endswith(".json"):
+        return text
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise RuledictError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def _load_rule(path: str, vars_spec: str | None):
     """Read a rule file (DSL text, or JSON when named *.json).
 
@@ -171,63 +179,58 @@ def _load_rule(path: str, vars_spec: str | None):
     whatever the file declares.
     """
     override = _parse_vars(vars_spec)
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "rule" not in obj:
-            raise RuledictError(f"{path}: expected an object with a 'rule' field")
-        if override is not None:
-            u = override
-        elif "vars" in obj:
-            if not isinstance(obj["vars"], list):
-                raise RuledictError(f"{path}: 'vars' must be an array of names")
-            u = make_universe(obj["vars"])
-        else:
-            raise RuledictError(f"{path}: no 'vars' field and no --vars given")
-        return u, expr_from_json_obj(u, obj["rule"])
-    return read_rule_document(text, universe=override)
+    content = _read(path)
+    if not path.endswith(".json"):
+        return read_rule_document(content, universe=override)
+    if not isinstance(content, dict) or "rule" not in content:
+        raise RuledictError(f"{path}: expected an object with a 'rule' field")
+    if override is not None:
+        u = override
+    elif "vars" in content:
+        if not isinstance(content["vars"], list):
+            raise RuledictError(f"{path}: 'vars' must be an array of names")
+        u = make_universe(content["vars"])
+    else:
+        raise RuledictError(f"{path}: no 'vars' field and no --vars given")
+    return u, expr_from_json_obj(u, content["rule"])
 
 
-def _load_grouping(path: str, u: Universe) -> GroupingStructure:
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        obj = json.loads(text)
-        if isinstance(obj, dict) and "groups" in obj:
-            obj = obj["groups"]
-        return GroupingStructure.from_json_obj(u, obj)
-    return GroupingStructure.from_text(u, text)
-
-
-def _load_dictionary(path: str, u: Universe) -> Dictionary:
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        obj = json.loads(text)
-        if isinstance(obj, dict) and "dictionary" in obj:
-            obj = obj["dictionary"]
-        return Dictionary.from_json_obj(u, obj)
-    return Dictionary.from_text(u, text)
+def _load_family(path: str, u: Universe, cls, key: str):
+    """A grouping or dictionary file: text, or JSON that may wrap it as ``{key: ...}``."""
+    content = _read(path)
+    if not path.endswith(".json"):
+        return cls.from_text(u, content)
+    if isinstance(content, dict) and key in content:
+        content = content[key]
+    return cls.from_json_obj(u, content)
 
 
 def _stages_for(expr, u: Universe, stage_specs: list[str]):
+    """The stages keyed by sequential operator (outermost first), and as given.
+
+    Structurally equal operators share one key, so they need equal values.
+    """
     nodes = sequential_nodes(expr)
     if len(stage_specs) > len(nodes):
         raise RuledictError(
             f"{len(stage_specs)} --stage values but the rule has "
             f"{len(nodes)} sequential operator(s)"
         )
+    given = [StageResult(parse_braced_names(u, spec, "stage result")) for spec in stage_specs]
     stages = {}
-    for node, spec in zip(nodes, stage_specs):
-        stages[node] = StageResult(parse_braced_names(u, spec, "stage result"))
-    return stages or None
+    for node, stage in zip(nodes, given):
+        if stages.setdefault(node, stage) != stage:
+            raise RuledictError(
+                f"equal sequential operators got different --stage values "
+                f"{stages[node].chosen.to_text()} and {stage.chosen.to_text()}"
+            )
+    return stages, given
 
 
 def _cmd_dict(args) -> int:
     cap = _max_enum()
     u, expr = _load_rule(args.rule, args.vars)
-    stages = _stages_for(expr, u, args.stage)
+    stages, given = _stages_for(expr, u, args.stage)
     d = eval_rule(u, expr, stages=stages, max_entries=cap)
     payload = {
         "universe": list(u.names),
@@ -235,8 +238,8 @@ def _cmd_dict(args) -> int:
         "size": len(d),
         "dictionary": d,
     }
-    if stages:
-        payload["stages"] = [list(s.chosen) for s in stages.values()]
+    if given:
+        payload["stages"] = [list(s.chosen) for s in given]
     _emit(payload)
     return 0
 
@@ -260,7 +263,7 @@ def _cmd_equiv(args) -> int:
 def _cmd_check(args) -> int:
     cap = _max_enum()
     u, expr = _load_rule(args.rule, args.vars)
-    g = _load_grouping(args.grouping, u)
+    g = _load_family(args.grouping, u, GroupingStructure, "groups")
     d = eval_rule(u, expr, max_entries=cap)
     if args.method == "log":
         report = check_log_congruence(d, g, max_entries=cap)
@@ -324,10 +327,8 @@ def _print_table(ranked) -> None:
 
 
 def _cmd_from_dict(args) -> int:
-    u = _parse_vars(args.vars)
-    if u is None:
-        raise RuledictError("from-dict needs --vars to name the universe")
-    d = _load_dictionary(args.dict, u)
+    u = _parse_vars(args.vars)  # argparse requires --vars here
+    d = _load_family(args.dict, u, Dictionary, "dictionary")
     expr = rule_from_dictionary(u, d)
     _emit(
         {
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NAME_SET",
         help="first-stage outcome like '{A,B}', repeatable, assigned to "
-        "sequential operators in reading order",
+        "sequential operators outermost first",
     )
     p.set_defaults(func=_cmd_dict)
 
@@ -401,16 +402,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "select":
-        if args.criterion != "cv" and (args.folds is not None or args.seed is not None):
-            sys.stderr.write("error: --folds/--seed apply only to --criterion cv\n")
-            return 2
-        if args.criterion == "cv" and args.folds is None:
-            sys.stderr.write("error: --criterion cv requires --folds\n")
-            return 2
-        if args.folds is not None and args.folds < 2:
-            sys.stderr.write("error: --folds must be at least 2\n")
-            return 2
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:

@@ -239,10 +239,6 @@ class Dictionary:
         return cls._of(universe, _pack(universe, masks))
 
     @classmethod
-    def from_varsets(cls, universe: Universe, varsets: Iterable[VarSet]) -> "Dictionary":
-        return cls(universe, varsets)
-
-    @classmethod
     def of_counts(
         cls, universe: Universe, scope_mask: int, counts: Iterable[int]
     ) -> "Dictionary":
@@ -375,7 +371,7 @@ class Dictionary:
 
     @classmethod
     def from_json_obj(cls, universe: Universe, obj: list[list[str]]) -> "Dictionary":
-        return cls.from_varsets(universe, (VarSet.of_names(universe, e) for e in obj))
+        return cls(universe, (VarSet.of_names(universe, e) for e in obj))
 
     def __repr__(self) -> str:
         return f"Dictionary({len(self)} entries)"
@@ -473,16 +469,11 @@ def powerset(u: Universe, max_entries: int = DEFAULT_MAX_ENUM) -> Dictionary:
     EnumerationTooLarge
         If ``2**u.size`` exceeds ``max_entries``.
     """
-    require_enumerable(u, max_entries)
-    return Dictionary.of_counts(u, 0, (0,))
-
-
-def require_enumerable(u: Universe, max_entries: int = DEFAULT_MAX_ENUM) -> None:
-    """Raise unless a full enumeration over ``u`` fits under the cap."""
     if u.size > 63 or (1 << u.size) > max_entries:
         raise EnumerationTooLarge(
             f"2^{u.size} subsets exceed the enumeration cap of {max_entries}"
         )
+    return Dictionary.of_counts(u, 0, (0,))
 
 
 def dictionary_support(d: Dictionary) -> VarSet:

@@ -14,8 +14,9 @@ Grammar, lowest precedence first:
 
 Names match [A-Za-z_][A-Za-z0-9_]*. "#" starts a line comment. A rule
 document may begin with a "vars: A, B, C" line declaring the universe.
-Arrow chains and and/or chains are collected iteratively and folded
-afterwards, so long flat rules parse without deep recursion.
+The parser keeps operators and open parentheses on an explicit stack
+and the formatter keeps pending text on another, so neither long nor
+deeply nested rules recurse.
 """
 
 from __future__ import annotations
@@ -94,6 +95,45 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# Precedence levels; higher binds tighter. Arrows are right-associative,
+# and/or left-associative.
+_LEVEL_ARROW = 1
+_LEVEL_OR = 2
+_LEVEL_AND = 3
+_LEVEL_NOT = 4
+_LEVEL_ATOM = 5
+
+# Level, operator text, and right-associativity. A same-level child keeps
+# its parens on the left of a right-associative operator, else on the right.
+_SYNTAX = {
+    Implies: (_LEVEL_ARROW, " -> ", True),
+    Sequential: (_LEVEL_ARROW, " => ", True),
+    Or: (_LEVEL_OR, " or ", False),
+    And: (_LEVEL_AND, " and ", False),
+    Not: (_LEVEL_NOT, "not ", False),
+}
+
+_INFIX = {"and": And, "or": Or, "arrow": Implies, "darrow": Sequential}
+
+
+def _reduce(args: list, ops: list, level: int, right_assoc: bool) -> None:
+    """Apply the waiting operators that bind tighter than a new one at ``level``.
+
+    A same-level operator binds tighter unless ``right_assoc``. Stops at
+    the innermost open parenthesis, a ``None`` on ``ops``.
+    """
+    while ops and ops[-1] is not None:
+        top = _SYNTAX[ops[-1]][0]
+        if top < level or (top == level and right_assoc):
+            return
+        node = ops.pop()
+        if node is Not:
+            args.append(Not(args.pop()))
+        else:
+            right = args.pop()
+            args.append(node(args.pop(), right))
+
+
 class _Parser:
     def __init__(self, text: str, universe: Universe):
         self.text = text
@@ -126,60 +166,38 @@ class _Parser:
         )
 
     def parse(self) -> RuleExpr:
-        expr = self.impl_seq()
+        expr = self.rule()
         tok = self.peek()
         if tok.kind != "eof":
             self.fail("trailing input after rule", ["end of input"], tok)
         return expr
 
-    def impl_seq(self) -> RuleExpr:
-        # Collect the whole arrow chain, then fold from the right.
-        parts = [self.or_expr()]
-        ops = []
-        while self.peek().kind in ("arrow", "darrow"):
-            ops.append(self.advance().kind)
-            parts.append(self.or_expr())
-        expr = parts[-1]
-        for i in range(len(ops) - 1, -1, -1):
-            ctor = Implies if ops[i] == "arrow" else Sequential
-            expr = ctor(parts[i], expr)
-        return expr
+    def rule(self) -> RuleExpr:
+        """Read one rule, up to the first token that cannot continue it.
 
-    def or_expr(self) -> RuleExpr:
-        expr = self.and_expr()
-        while self.peek().kind == "or":
-            self.advance()
-            expr = Or(expr, self.and_expr())
-        return expr
-
-    def and_expr(self) -> RuleExpr:
-        expr = self.not_expr()
-        while self.peek().kind == "and":
-            self.advance()
-            expr = And(expr, self.not_expr())
-        return expr
-
-    def not_expr(self) -> RuleExpr:
-        # Count prefix nots iteratively; "not not not ... u" should not recurse.
-        nots = 0
-        while self.peek().kind == "not":
-            self.advance()
-            nots += 1
-        expr = self.atom()
-        for _ in range(nots):
-            expr = Not(expr)
-        return expr
-
-    def atom(self) -> RuleExpr:
-        tok = self.peek()
-        if tok.kind == "select":
-            return self.unit()
-        if tok.kind == "lparen":
-            self.advance()
-            expr = self.impl_seq()
-            self.expect("rparen", "')'")
-            return expr
-        self.fail("expected a rule", ["'select'", "'('", "'not'"], tok)
+        Operands wait on ``args``, and operators and open parentheses on
+        ``ops``, until a looser operator, a ``)`` or the end applies them.
+        """
+        args: list[RuleExpr] = []
+        ops: list = []
+        while True:
+            tok = self.peek()
+            if tok.kind in ("not", "lparen"):
+                ops.append(Not if self.advance().kind == "not" else None)
+                continue
+            if tok.kind != "select":
+                self.fail("expected a rule", ["'select'", "'('", "'not'"], tok)
+            args.append(self.unit())
+            # Close every group that ends here, then continue after an operator.
+            while (kind := self.peek().kind) not in _INFIX:
+                _reduce(args, ops, 0, False)
+                if not ops:
+                    return args.pop()
+                self.expect("rparen", "')'")
+                ops.pop()
+            level, _, right_assoc = _SYNTAX[_INFIX[kind]]
+            _reduce(args, ops, level, right_assoc)
+            ops.append(_INFIX[self.advance().kind])
 
     def unit(self) -> RuleExpr:
         self.expect("select", "'select'")
@@ -302,64 +320,39 @@ def read_rule_document(text: str, universe: Universe | None = None) -> tuple[Uni
 # ---------------------------------------------------------------------------
 # Pretty-printing
 
-# Precedence levels; higher binds tighter. Arrows are right-associative,
-# and/or left-associative.
-_LEVEL_ARROW = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_NOT = 4
-_LEVEL_ATOM = 5
-
-
-def _level(expr: RuleExpr) -> int:
-    if isinstance(expr, (Implies, Sequential)):
-        return _LEVEL_ARROW
-    if isinstance(expr, Or):
-        return _LEVEL_OR
-    if isinstance(expr, And):
-        return _LEVEL_AND
-    if isinstance(expr, Not):
-        return _LEVEL_NOT
-    return _LEVEL_ATOM
-
-
-def _fmt(expr: RuleExpr) -> str:
-    if isinstance(expr, Unit):
-        rule = expr.rule
-        counts = "{" + ",".join(str(c) for c in sorted(rule.constraint.counts)) + "}"
-        scope = "{" + ",".join(rule.scope) + "}"
-        return f"select {counts} of {scope}"
-    if isinstance(expr, Not):
-        return "not " + _child(expr.child, _LEVEL_NOT, strict=False)
-    if isinstance(expr, (And, Or)):
-        lvl = _LEVEL_AND if isinstance(expr, And) else _LEVEL_OR
-        word = " and " if isinstance(expr, And) else " or "
-        # Left-associative: a same-level right child must keep its parens.
-        return _child(expr.left, lvl, strict=False) + word + _child(expr.right, lvl, strict=True)
-    if isinstance(expr, (Implies, Sequential)):
-        sym = " -> " if isinstance(expr, Implies) else " => "
-        # Right-associative: the left side is the strict one.
-        return (
-            _child(expr.left, _LEVEL_ARROW, strict=True)
-            + sym
-            + _child(expr.right, _LEVEL_ARROW, strict=False)
-        )
-    raise TypeError(f"not a rule expression: {expr!r}")
-
-
-def _child(expr: RuleExpr, parent_level: int, strict: bool) -> str:
-    text = _fmt(expr)
-    lvl = _level(expr)
-    if lvl < parent_level or (strict and lvl == parent_level):
-        return "(" + text + ")"
-    return text
-
-
 def format_rule(expr: RuleExpr) -> str:
     """Canonical text for a rule expression.
 
     Counts print sorted ascending, scope names in universe index order,
     parentheses only where precedence demands them. Parsing the result
-    reproduces ``expr`` structurally.
+    reproduces ``expr`` structurally. Pieces come off one stack of text
+    and (node, parent level, strict) items and are joined once.
     """
-    return _fmt(expr)
+    out = []
+    stack: list = [(expr, 0, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent, strict = item
+        if isinstance(node, Unit):
+            level = _LEVEL_ATOM
+        elif type(node) in _SYNTAX:
+            level, word, right_assoc = _SYNTAX[type(node)]
+        else:
+            raise TypeError(f"not a rule expression: {node!r}")
+        if level < parent or (strict and level == parent):
+            out.append("(")
+            stack.append(")")
+        if level == _LEVEL_ATOM:
+            counts = ",".join(str(c) for c in sorted(node.rule.constraint.counts))
+            out.append(f"select {{{counts}}} of {{{','.join(node.rule.scope)}}}")
+        elif level == _LEVEL_NOT:
+            out.append(word)
+            stack.append((node.child, level, False))
+        else:
+            stack.append((node.right, level, not right_assoc))
+            stack.append(word)
+            stack.append((node.left, level, right_assoc))
+    return "".join(out)

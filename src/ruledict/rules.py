@@ -3,9 +3,10 @@
 A rule is either a unit rule (select some permitted number of covariates
 from a scope set) or a combination of rules under five operations: not,
 and, or, material implication, and two-stage sequencing. Every rule over a
-fixed universe has exactly one dictionary, computed here by structural
-recursion: unit leaves via the closed-form union construction, inner nodes
-via set algebra on the child dictionaries.
+fixed universe has exactly one dictionary, computed here as a fold over the
+tree: unit leaves via the closed-form union construction, inner nodes via
+set algebra on the child dictionaries. Every traversal runs on an explicit
+stack, so rules of any depth work.
 
 Sequencing is the odd one out: its dictionary depends on the outcome
 actually chosen in the first stage, so evaluation takes that outcome as an
@@ -17,7 +18,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import reduce
+from typing import Callable, Iterator, Mapping
 
 from .core import (
     ConstraintSet,
@@ -27,7 +29,6 @@ from .core import (
     VarSet,
     dictionary_support,
     powerset,
-    require_enumerable,
 )
 from .errors import (
     ArityMismatch,
@@ -62,43 +63,112 @@ def is_coherent(rule: UnitRule) -> bool:
 
 
 class RuleExpr:
-    """Base class for rule expression nodes."""
+    """Base class for rule expression nodes.
+
+    Each node type has a fixed number of children, so the pre-order
+    sequence of (node type, unit rule) pairs fixes a tree. Equality and
+    hashing compare that sequence instead of recursing.
+    """
 
     __slots__ = ()
 
+    def _preorder_keys(self) -> Iterator[tuple]:
+        return ((type(n), getattr(n, "rule", None)) for n in _walk(self))
 
-@dataclass(frozen=True, slots=True)
+    def __eq__(self, other):
+        if not isinstance(other, RuleExpr):
+            return NotImplemented
+        return tuple(self._preorder_keys()) == tuple(other._preorder_keys())
+
+    def __hash__(self):
+        return hash(tuple(self._preorder_keys()))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Unit(RuleExpr):
     rule: UnitRule
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Not(RuleExpr):
     child: RuleExpr
 
 
-@dataclass(frozen=True, slots=True)
-class And(RuleExpr):
+@dataclass(frozen=True, slots=True, eq=False)
+class _Binary(RuleExpr):
+    """A node with two operands; the subclass names the operation."""
+
     left: RuleExpr
     right: RuleExpr
 
 
-@dataclass(frozen=True, slots=True)
-class Or(RuleExpr):
-    left: RuleExpr
-    right: RuleExpr
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(RuleExpr):
-    left: RuleExpr
-    right: RuleExpr
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Sequential(RuleExpr):
-    left: RuleExpr
-    right: RuleExpr
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Sequential(_Binary):
+    __slots__ = ()
+
+
+#: Each node type's ``op`` tag in JSON, and the fields holding its children.
+_SHAPES = {
+    Unit: ("unit", ()),
+    Not: ("not", ("child",)),
+    And: ("and", ("left", "right")),
+    Or: ("or", ("left", "right")),
+    Implies: ("implies", ("left", "right")),
+    Sequential: ("seq", ("left", "right")),
+}
+_NODES = {tag: (cls, fields) for cls, (tag, fields) in _SHAPES.items()}
+
+
+def _children(node) -> tuple:
+    """The child nodes of a rule node, left to right."""
+    if type(node) not in _SHAPES:
+        raise TypeError(f"not a rule expression: {node!r}")
+    return tuple(getattr(node, field) for field in _SHAPES[type(node)][1])
+
+
+def _walk(expr: RuleExpr) -> Iterator[RuleExpr]:
+    """Pre-order traversal without recursion."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
+
+
+def _fold(root, children: Callable, visit: Callable):
+    """Post-order fold over a tree, on an explicit stack.
+
+    ``visit(node, results)`` gets the results of ``children(node)``, left
+    to right, and returns the node's own. Nodes are visited in the order a
+    recursive evaluation visits them, so errors and warnings come out in
+    the same order.
+    """
+    results: list = []
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend((kid, None) for kid in reversed(kids))
+                continue
+        first = len(results) - len(kids)
+        value = visit(node, results[first:])
+        del results[first:]
+        results.append(value)
+    return results[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,9 +227,6 @@ def _binary(
     return powerset(u, max_entries).difference(d1).union(d2)
 
 
-_OP_NODES = {"and": And, "or": Or, "implies": Implies}
-
-
 def combine(
     op: str,
     u: Universe,
@@ -186,9 +253,10 @@ def combine(
         return powerset(u, max_entries).difference(d1)
     if d2 is None:
         raise ArityMismatch(f"{op!r} needs two dictionaries")
-    if op not in _OP_NODES:
+    kind = _NODES.get(op, (None,))[0]
+    if kind not in (And, Or, Implies):
         raise ArityMismatch(f"unknown operation {op!r}")
-    return _binary(_OP_NODES[op], u, d1, d2, max_entries)
+    return _binary(kind, u, d1, d2, max_entries)
 
 
 def sequential_restrict(d2: Dictionary, stage: StageResult) -> Dictionary:
@@ -196,13 +264,13 @@ def sequential_restrict(d2: Dictionary, stage: StageResult) -> Dictionary:
     return d2.within(stage.chosen)
 
 
-def _check_sequential_scopes(d1: Dictionary, d2: Dictionary) -> None:
+def _check_sequential_scopes(d1: Dictionary, d2: Dictionary, stacklevel: int) -> None:
     s1, s2 = dictionary_support(d1), dictionary_support(d2)
     if s1 != s2:
         warnings.warn(
             f"sequential stages select over different variables ({s1.to_text()} vs {s2.to_text()})",
             SequentialScopeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -235,27 +303,30 @@ def eval_rule(
         A supplied outcome is not in the first stage's dictionary.
     """
     stages = stages or {}
-    if isinstance(expr, Unit):
-        return unit_dictionary(u, expr.rule, max_entries)
-    if isinstance(expr, Not):
-        return powerset(u, max_entries).difference(eval_rule(u, expr.child, stages, max_entries))
-    if not isinstance(expr, (And, Or, Implies, Sequential)):
-        raise TypeError(f"not a rule expression: {expr!r}")
-    d1 = eval_rule(u, expr.left, stages, max_entries)
-    d2 = eval_rule(u, expr.right, stages, max_entries)
-    if not isinstance(expr, Sequential):
-        return _binary(type(expr), u, d1, d2, max_entries)
-    _check_sequential_scopes(d1, d2)
-    if expr not in stages:
-        raise MissingStageResult(
-            "sequential rule needs the outcome chosen by its first stage"
-        )
-    stage = stages[expr]
-    if stage.chosen not in d1:
-        raise InvalidStageResult(
-            f"stage outcome {stage.chosen.to_text()} is not permitted by the first stage"
-        )
-    return sequential_restrict(d2, stage)
+
+    def visit(node, kids):
+        kind = type(node)
+        if kind is Unit:
+            return unit_dictionary(u, node.rule, max_entries)
+        if kind is Not:
+            return powerset(u, max_entries).difference(kids[0])
+        d1, d2 = kids
+        if kind is not Sequential:
+            return _binary(kind, u, d1, d2, max_entries)
+        # Reported from the caller of eval_rule, past visit and _fold.
+        _check_sequential_scopes(d1, d2, stacklevel=5)
+        stage = stages.get(node)
+        if stage is None:
+            raise MissingStageResult(
+                "sequential rule needs the outcome chosen by its first stage"
+            )
+        if stage.chosen not in d1:
+            raise InvalidStageResult(
+                f"stage outcome {stage.chosen.to_text()} is not permitted by the first stage"
+            )
+        return sequential_restrict(d2, stage)
+
+    return _fold(expr, _children, visit)
 
 
 def stage_outcomes(
@@ -269,21 +340,8 @@ def stage_outcomes(
     """
     d1 = eval_rule(u, expr.left, max_entries=max_entries)
     d2 = eval_rule(u, expr.right, max_entries=max_entries)
-    _check_sequential_scopes(d1, d2)
+    _check_sequential_scopes(d1, d2, stacklevel=3)
     return [(m, sequential_restrict(d2, StageResult(m))) for m in d1]
-
-
-def _walk(expr: RuleExpr) -> Iterator[RuleExpr]:
-    """Pre-order traversal without recursion."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or, Implies, Sequential)):
-            stack.append(node.right)
-            stack.append(node.left)
 
 
 def sequential_nodes(expr: RuleExpr) -> list[Sequential]:
@@ -308,9 +366,7 @@ def rules_equivalent(
             raise UnsupportedForEquivalence(
                 "equivalence is undefined for rules containing sequential stages"
             )
-    return eval_rule(u, e1, max_entries=max_entries).masks() == eval_rule(
-        u, e2, max_entries=max_entries
-    ).masks()
+    return eval_rule(u, e1, max_entries=max_entries) == eval_rule(u, e2, max_entries=max_entries)
 
 
 def rule_from_dictionary(u: Universe, d: Dictionary) -> RuleExpr:
@@ -328,31 +384,23 @@ def rule_from_dictionary(u: Universe, d: Dictionary) -> RuleExpr:
         inside = Unit(UnitRule(entry, ConstraintSet.of(len(entry))))
         outside = Unit(UnitRule(entry.complement(), ConstraintSet.of(0)))
         parts.append(And(inside, outside))
-    expr: RuleExpr = parts[0]
-    for p in parts[1:]:
-        expr = Or(expr, p)
-    return expr
+    return reduce(Or, parts)
 
 
 def expr_to_json_obj(expr: RuleExpr) -> dict:
     """Nested-object form with ``op`` tags: unit/not/and/or/implies/seq."""
-    if isinstance(expr, Unit):
+
+    def visit(node, kids):
+        tag, fields = _SHAPES[type(node)]
+        if tag != "unit":
+            return {"op": tag, **dict(zip(fields, kids))}
         return {
             "op": "unit",
-            "counts": sorted(expr.rule.constraint.counts),
-            "scope": list(expr.rule.scope),
+            "counts": sorted(node.rule.constraint.counts),
+            "scope": list(node.rule.scope),
         }
-    if isinstance(expr, Not):
-        return {"op": "not", "child": expr_to_json_obj(expr.child)}
-    tags = {And: "and", Or: "or", Implies: "implies", Sequential: "seq"}
-    for cls, tag in tags.items():
-        if isinstance(expr, cls):
-            return {
-                "op": tag,
-                "left": expr_to_json_obj(expr.left),
-                "right": expr_to_json_obj(expr.right),
-            }
-    raise TypeError(f"not a rule expression: {expr!r}")
+
+    return _fold(expr, _children, visit)
 
 
 def _json_field(obj, key: str, kind: type = object):
@@ -374,20 +422,24 @@ def expr_from_json_obj(u: Universe, obj: dict) -> RuleExpr:
     ------
     ParseError
         If a node is not an object or lacks a field its ``op`` needs.
+    ArityMismatch
+        If a node's ``op`` is no known tag.
     """
-    op = _json_field(obj, "op")
-    if op == "unit":
-        scope = VarSet.of_names(u, _json_field(obj, "scope", list))
-        counts = _json_field(obj, "counts", list)
+
+    def children(node) -> tuple:
+        op = _json_field(node, "op", str)
+        if op not in _NODES:
+            raise ArityMismatch(f"unknown rule op {op!r}")
+        return tuple(_json_field(node, field) for field in _NODES[op][1])
+
+    def visit(node, kids):
+        cls = _NODES[node["op"]][0]
+        if cls is not Unit:
+            return cls(*kids)
+        scope = VarSet.of_names(u, _json_field(node, "scope", list))
+        counts = _json_field(node, "counts", list)
         if not all(isinstance(c, int) for c in counts):
             raise ParseError(f"rule node counts must be integers, got {counts!r}")
         return Unit(UnitRule(scope, ConstraintSet(frozenset(counts))))
-    if op == "not":
-        return Not(expr_from_json_obj(u, _json_field(obj, "child")))
-    tags = {"and": And, "or": Or, "implies": Implies, "seq": Sequential}
-    if op in tags:
-        return tags[op](
-            expr_from_json_obj(u, _json_field(obj, "left")),
-            expr_from_json_obj(u, _json_field(obj, "right")),
-        )
-    raise ArityMismatch(f"unknown rule op {op!r}")
+
+    return _fold(obj, children, visit)

@@ -206,15 +206,10 @@ class RankedModels:
 
 
 def _fold_bounds(n: int, folds: int) -> list[tuple[int, int]]:
-    # Contiguous blocks whose sizes differ by at most one.
+    # Contiguous blocks whose sizes differ by at most one, the larger ones first.
     base, rem = divmod(n, folds)
-    bounds = []
-    start = 0
-    for i in range(folds):
-        size = base + (1 if i < rem else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
+    starts = [i * base + min(i, rem) for i in range(folds + 1)]
+    return list(zip(starts, starts[1:]))
 
 
 def _cv_score(d: Dataset, s: VarSet, folds: int, order: np.ndarray) -> float:
@@ -249,7 +244,8 @@ def select_best(
     ``criterion`` is one of aic, bic, adjr2, cv. Cross-validation
     requires ``folds``; its score is the held-out squared error pooled
     over all rows, and the reported coefficients still come from the
-    full-data fit. ``seed`` shuffles rows before blocking into folds.
+    full-data fit. ``seed`` shuffles rows before blocking into folds;
+    ``folds`` and ``seed`` are errors for the other criteria.
     Ties rank the smaller subset first, then canonical subset order.
     """
     if criterion not in CRITERIA:
@@ -261,8 +257,8 @@ def select_best(
             raise ValueError("folds must be at least 2")
         if folds > d.n:
             raise DatasetTooSmall(f"{folds} folds but only {d.n} rows")
-    elif folds is not None:
-        raise ValueError(f"folds only applies to criterion 'cv', not {criterion!r}")
+    elif folds is not None or seed is not None:
+        raise ValueError(f"folds and seed apply only to criterion 'cv', not {criterion!r}")
     if not D:
         raise EmptyDictionary(
             "the dictionary is empty (an incoherent rule admits no subsets), "
@@ -297,6 +293,4 @@ def select_best(
             )
         )
     scored.sort(key=lambda m: (m.score, len(m.subset), m.subset.mask))
-    result = RankedModels(criterion=criterion, models=tuple(scored))
-    assert result.best.subset in D
-    return result
+    return RankedModels(criterion=criterion, models=tuple(scored))

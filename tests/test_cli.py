@@ -189,6 +189,34 @@ class TestDictCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error:")
 
+    def test_equal_operators_need_equal_stages(self, tmp_path):
+        rule = tmp_path / "r.rule"
+        seq = "select 0..1 of {A} => select 0..1 of {A}"
+        rule.write_text(f"vars: A, B\n({seq}) or ({seq})\n")
+        proc = run_cli("dict", "--rule", str(rule), "--stage", "{A}", "--stage", "{}")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
+        proc = run_cli("dict", "--rule", str(rule), "--stage", "{A}", "--stage", "{A}")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["stages"] == [["A"], ["A"]]
+
+    def test_stages_go_to_the_outermost_operator_first(self, tmp_path):
+        # In (R => S) => T the first --stage belongs to the second arrow.
+        rule = tmp_path / "r.rule"
+        rule.write_text(
+            "vars: A, B\n(select {1} of {A} => select 0..2 of {A,B}) => select 0..2 of {A,B}\n"
+        )
+        proc = run_cli("dict", "--rule", str(rule), "--stage", "{A}", "--stage", "{A,B}")
+        assert proc.returncode == 0, proc.stderr.decode()
+        payload = json.loads(proc.stdout)
+        assert payload["dictionary"] == [[], ["A"]]
+        assert payload["stages"] == [["A"], ["A", "B"]]
+        # Swapped, the outer stage {A,B} is outside the inner arrow's {[], [A]}.
+        proc = run_cli("dict", "--rule", str(rule), "--stage", "{A,B}", "--stage", "{A}")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "invalid-stage-result"
+
     def test_missing_rule_file(self):
         proc = run_cli("dict", "--rule", "fixtures/rules/no_such.rule")
         assert proc.returncode == 2
@@ -449,6 +477,17 @@ class TestSelectCommand:
             "--criterion", "bic", "--seed", "1",
         )
         assert proc.returncode == 2
+
+    def test_flag_errors_are_one_line(self):
+        for extra in (["bic", "--seed", "1"], ["aic", "--folds", "5"], ["cv"],
+                      ["cv", "--folds", "1"]):
+            proc = run_cli(
+                "select", "--rule", f"{RULES}/one_or_two.rule",
+                "--data", f"{DATA}/linear_abc.csv", "--outcome", "Y", "--criterion", *extra,
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == b""
+            assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
 
     def test_cv_without_folds(self):
         proc = run_cli(

@@ -1,0 +1,307 @@
+"""Rule trees of any depth, and property tests of the tree traversals.
+
+Evaluation, formatting, parsing, the JSON codecs and node equality all
+walk rule trees on explicit stacks, so their behaviour must not depend on
+tree depth. The property tests compare them against the set-algebra
+oracle and against each other on random trees; the depth tests run them
+on 20,000-level trees under the default recursion limit; the CLI tests
+check that deep inputs end in exit 0, 1 or 2 and never in a traceback.
+"""
+
+import ast
+import json
+import pathlib
+import random
+import sys
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ruledict.core import ConstraintSet, Dictionary, VarSet, make_universe, powerset
+from ruledict.dsl import format_rule, parse_rule
+from ruledict.errors import MissingStageResult
+from ruledict.rules import (
+    And,
+    Implies,
+    Not,
+    Or,
+    Sequential,
+    StageResult,
+    Unit,
+    UnitRule,
+    eval_rule,
+    expr_from_json_obj,
+    expr_to_json_obj,
+    rule_from_dictionary,
+    unit_dictionary,
+)
+
+from oracles import eval_masks
+from test_cli import run_cli
+
+DEEP = 20000
+NAMES = ["A", "B", "C", "D"]
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ruledict"
+
+
+def units(u):
+    return st.builds(
+        lambda mask, counts: Unit(UnitRule(VarSet(u, mask), ConstraintSet(frozenset(counts)))),
+        st.integers(0, u.full_mask),
+        st.sets(st.integers(0, u.size + 1), min_size=1, max_size=3),
+    )
+
+
+def rules(u, sequential):
+    kinds = [And, Or, Implies] + ([Sequential] if sequential else [])
+    return st.recursive(
+        units(u),
+        lambda sub: st.one_of(st.builds(Not, sub), *(st.builds(k, sub, sub) for k in kinds)),
+        max_leaves=12,
+    )
+
+
+@st.composite
+def universe_and_rules(draw, count=1, sequential=False):
+    u = make_universe(NAMES[: draw(st.integers(1, len(NAMES)))])
+    return (u, *(draw(rules(u, sequential)) for _ in range(count)))
+
+
+class TestProperties:
+    @given(universe_and_rules())
+    def test_engine_matches_oracle(self, case):
+        u, expr = case
+        assert set(eval_rule(u, expr).masks()) == eval_masks(u, expr)
+
+    @given(universe_and_rules(sequential=True))
+    def test_parse_format_round_trip(self, case):
+        u, expr = case
+        again = parse_rule(format_rule(expr), u)
+        assert again == expr
+        assert hash(again) == hash(expr)
+
+    @given(universe_and_rules(sequential=True))
+    def test_json_codec_round_trip(self, case):
+        u, expr = case
+        obj = json.loads(json.dumps(expr_to_json_obj(expr)))
+        assert expr_from_json_obj(u, obj) == expr
+
+    @given(universe_and_rules(count=2, sequential=True))
+    def test_equality_is_equality_of_canonical_text(self, case):
+        # format_rule is injective (it round-trips), so equal text means equal trees.
+        u, e1, e2 = case
+        assert (e1 == e2) == (format_rule(e1) == format_rule(e2))
+        if e1 == e2:
+            assert hash(e1) == hash(e2)
+
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1)))))
+    def test_dictionary_rule_round_trip(self, case):
+        n, masks = case
+        u = make_universe([f"v{i}" for i in range(n)])
+        d = Dictionary.from_masks(u, masks)
+        text = format_rule(rule_from_dictionary(u, d))
+        assert eval_rule(u, parse_rule(text, u)) == d
+
+
+def _left_deep(kind, leaf, n):
+    expr = leaf
+    for _ in range(n - 1):
+        expr = kind(expr, leaf)
+    return expr
+
+
+def _right_deep(kind, leaf, n):
+    expr = leaf
+    for _ in range(n - 1):
+        expr = kind(leaf, expr)
+    return expr
+
+
+def _nested_not(leaf, n):
+    expr = leaf
+    for _ in range(n):
+        expr = Not(expr)
+    return expr
+
+
+@pytest.fixture
+def ab():
+    return make_universe(["A", "B"])
+
+
+@pytest.fixture
+def leaf(ab):
+    return Unit(UnitRule(VarSet.of_names(ab, ["A"]), ConstraintSet.of(0, 1)))
+
+
+# Each tree has DEEP levels; the right-deep and and the left-deep arrow
+# chains format with DEEP - 1 nested parentheses.
+DEEP_TREES = {
+    "left-and": lambda leaf: _left_deep(And, leaf, DEEP),
+    "right-and": lambda leaf: _right_deep(And, leaf, DEEP),
+    "left-or": lambda leaf: _left_deep(Or, leaf, DEEP),
+    "right-implies": lambda leaf: _right_deep(Implies, leaf, DEEP),
+    "left-implies": lambda leaf: _left_deep(Implies, leaf, DEEP),
+    "not": lambda leaf: _nested_not(leaf, DEEP),
+    "seq": lambda leaf: _right_deep(Sequential, leaf, DEEP),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_TREES)
+def test_deep_tree(ab, leaf, shape):
+    expr = DEEP_TREES[shape](leaf)
+    again = parse_rule(format_rule(expr), ab)
+    assert again is not expr
+    assert again == expr
+    assert hash(again) == hash(expr)
+    assert again != DEEP_TREES[shape](Not(leaf))
+    assert expr_from_json_obj(ab, expr_to_json_obj(expr)) == expr
+    if shape == "seq":
+        with pytest.raises(MissingStageResult):
+            eval_rule(ab, expr)
+    else:
+        # The leaf admits every subset, so every node of every shape does
+        # (DEEP is even, so the nots cancel).
+        assert eval_rule(ab, expr) == unit_dictionary(ab, leaf.rule) == powerset(ab)
+
+
+def test_deep_parentheses_parse(ab, leaf):
+    text = "(" * DEEP + "select {0,1} of {A}" + ")" * DEEP
+    assert parse_rule(text, ab) == leaf
+    assert parse_rule("not (" * DEEP + "select {0,1} of {A}" + ")" * DEEP, ab) == _nested_not(
+        leaf, DEEP
+    )
+
+
+def test_deep_stage_lookup(ab, leaf):
+    seq = Sequential(leaf, _left_deep(Or, leaf, DEEP))
+    copy = parse_rule(format_rule(seq), ab)
+    chosen = StageResult(VarSet.of_names(ab, ["A"]))
+    # Stages are found by structure, not identity.
+    assert eval_rule(ab, seq, stages={copy: chosen}).masks() == (0, 1)
+
+
+def _calls(func: ast.AST) -> set[str]:
+    """What a function calls directly: plain names, and ``.name`` for ``self``/``cls`` methods."""
+    out = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                out.add(f.id)
+            elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) in ("self", "cls"):
+                out.add("." + f.attr)
+    return out
+
+
+def test_no_function_calls_itself():
+    """No function in the package reaches itself through direct or mutual calls."""
+    graph: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {
+            id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                key = "." + node.name if id(node) in methods else node.name
+                graph.setdefault(key, set()).update(_calls(node))
+    cycles = []
+    for start in graph:
+        seen, stack = set(), list(graph[start])
+        while stack:
+            name = stack.pop()
+            if name == start:
+                cycles.append(start)
+                break
+            if name in graph and name not in seen:
+                seen.add(name)
+                stack.extend(graph[name])
+    assert not cycles, f"functions that can call themselves: {cycles}"
+
+
+VARS = "vars: A, B, C, D\n"
+UNIT = "select {0,1} of {A}"
+
+
+def _chain(op):
+    return f" {op} ".join([UNIT] * DEEP)
+
+
+# name: (rule text, --stage values, exit code, dictionary size)
+DEEP_CLI = {
+    "and-chain": (_chain("and"), [], 0, 16),
+    "or-chain": (_chain("or"), [], 0, 16),
+    "implies-chain": (_chain("->"), [], 0, 16),
+    "nested-not": ("not " * DEEP + UNIT, [], 0, 16),
+    "nested-parens": ("(" * DEEP + UNIT + ")" * DEEP, [], 0, 16),
+    "staged-or-chain": (f"select 0..1 of {{A}} => ({_chain('or')})", ["{A}"], 0, 2),
+    "seq-chain-no-stage": (_chain("=>"), [], 2, None),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_CLI)
+def test_deep_rule_on_the_cli(tmp_path, case):
+    text, stages, code, size = DEEP_CLI[case]
+    rule = tmp_path / "deep.rule"
+    rule.write_text(VARS + text + "\n")
+    argv = ["dict", "--rule", str(rule)]
+    for spec in stages:
+        argv += ["--stage", spec]
+    proc = run_cli(*argv)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr.decode()[-300:]
+    if code == 2:
+        assert proc.stderr == b"error: sequential rule needs the outcome chosen by its first stage\n"
+    else:
+        assert json.loads(proc.stdout)["size"] == size
+
+
+def test_deep_rule_on_equiv(tmp_path):
+    rule = tmp_path / "deep.rule"
+    rule.write_text(VARS + _chain("and") + "\n")
+    other = tmp_path / "unit.rule"
+    other.write_text(VARS + UNIT + "\n")
+    proc = run_cli("equiv", "--rule", str(rule), "--rule2", str(other))
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["equivalent"] is True
+
+
+@pytest.mark.parametrize("depth,code", [(500, 0), (DEEP, 2)])
+def test_deep_rule_json_on_the_cli(tmp_path, depth, code):
+    leaf = json.dumps({"op": "unit", "counts": [0, 1], "scope": ["A"]})
+    text = '{"vars": ["A", "B"], "rule": ' + '{"op": "not", "child": ' * depth + leaf + "}" * depth + "}"
+    rule = tmp_path / "deep.rule.json"
+    rule.write_text(text)
+    proc = run_cli("dict", "--rule", str(rule))
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("entries", [2048, 4096])
+def test_from_dict_then_dict_on_the_cli(tmp_path, entries):
+    names = [f"v{i}" for i in range(13)]
+    masks = sorted(random.Random(entries).sample(range(1 << 13), entries))
+    lines = ["{" + ",".join(n for i, n in enumerate(names) if m >> i & 1) + "}" for m in masks]
+    dict_file = tmp_path / "d.dict"
+    dict_file.write_text("\n".join(lines) + "\n")
+    proc = run_cli("from-dict", "--dict", str(dict_file), "--vars", ",".join(names))
+    assert proc.returncode == 0, proc.stderr.decode()[-300:]
+    rule = tmp_path / "back.rule"
+    rule.write_text(f"vars: {', '.join(names)}\n{json.loads(proc.stdout)['rule']}\n")
+    proc = run_cli("dict", "--rule", str(rule))
+    assert proc.returncode == 0, proc.stderr.decode()[-300:]
+    want = [[n for i, n in enumerate(names) if m >> i & 1] for m in masks]
+    assert json.loads(proc.stdout)["dictionary"] == want
+
+
+def test_recursion_limit_is_below_the_tested_depth():
+    # The depth tests above show depth independence only if recursing
+    # DEEP levels would fail.
+    assert sys.getrecursionlimit() < DEEP

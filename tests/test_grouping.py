@@ -140,6 +140,14 @@ class TestUnionClosure:
         with pytest.raises(EnumerationTooLarge):
             union_closure(g, max_entries=100)
 
+    def test_cap_is_the_closure_size(self):
+        u = make_universe([f"v{i}" for i in range(6)])
+        g = GroupingStructure(u, tuple(VarSet.of_indices(u, [i, i + 1]) for i in range(5)))
+        size = len(closure_by_enumeration(6, g.masks()))
+        assert len(union_closure(g, max_entries=size)) == size
+        with pytest.raises(EnumerationTooLarge):
+            union_closure(g, max_entries=size - 1)
+
 
 class TestLogCongruence:
     def test_congruent(self, ab):

@@ -11,6 +11,7 @@ from ruledict.errors import (
     EnumerationTooLarge,
     InvalidStageResult,
     MissingStageResult,
+    ParseError,
     UnsupportedForEquivalence,
 )
 from ruledict.rules import (
@@ -344,6 +345,44 @@ class TestRuleFromDictionary:
             assert eval_rule(u, rule_from_dictionary(u, d)) == d
 
 
+class TestTraversal:
+    def test_equality_is_structural(self, abcd):
+        a, b = unit(abcd, [1], ["A"]), unit(abcd, [1], ["B"])
+        assert And(a, Or(a, b)) == And(unit(abcd, [1], ["A"]), Or(a, b))
+        assert hash(And(a, Or(a, b))) == hash(And(unit(abcd, [1], ["A"]), Or(a, b)))
+        assert And(a, And(a, b)) != And(And(a, b), a)
+        assert And(a, b) != Or(a, b)
+        assert Not(a) != a
+        assert a != "select {1} of {A}"
+        assert len({Implies(a, b), Implies(a, b), Sequential(a, b)}) == 2
+
+    def test_non_nodes_are_type_errors(self, abcd):
+        bad = And(unit(abcd, [1], ["A"]), "select {1} of {B}")
+        for walk in (lambda e: eval_rule(abcd, e), expr_to_json_obj, sequential_nodes, hash):
+            with pytest.raises(TypeError, match="not a rule expression"):
+                walk(bad)
+
+    def test_errors_come_in_left_to_right_post_order(self, abcd):
+        seq = Sequential(unit(abcd, [0, 2], ["A", "B"]), unit(abcd, [0, 1, 2], ["A", "B"]))
+        other = Sequential(unit(abcd, [1], ["C"]), unit(abcd, [1], ["C"]))
+        bad = StageResult(VarSet.of_names(abcd, ["A"]))
+        # The left operator's invalid stage is reported before the right one's missing stage.
+        with pytest.raises(InvalidStageResult):
+            eval_rule(abcd, And(seq, other), stages={seq: bad})
+        with pytest.raises(MissingStageResult):
+            eval_rule(abcd, And(other, seq), stages={seq: bad})
+
+    def test_scope_warning_points_at_the_caller(self):
+        u = make_universe(["A", "B"])
+        seq = Sequential(
+            And(unit(u, [0, 1], ["A"]), unit(u, [0], ["B"])),
+            And(unit(u, [0, 1], ["B"]), unit(u, [0], ["A"])),
+        )
+        with pytest.warns(SequentialScopeWarning) as record:
+            eval_rule(u, Not(seq), stages={seq: StageResult(VarSet.empty(u))})
+        assert record[0].filename == __file__
+
+
 class TestExprJson:
     def test_round_trip(self, interaction):
         u = interaction
@@ -359,6 +398,10 @@ class TestExprJson:
     def test_unknown_op_rejected(self, abcd):
         with pytest.raises(ArityMismatch):
             expr_from_json_obj(abcd, {"op": "xor"})
+
+    def test_non_string_op_rejected(self, abcd):
+        with pytest.raises(ParseError):
+            expr_from_json_obj(abcd, {"op": ["and"], "left": {}, "right": {}})
 
 
 def _count_in(scope_mask, counts):

@@ -305,6 +305,9 @@ class TestSelectBest:
             select_best(d, powerset(abc), "mdl")
         with pytest.raises(ValueError):
             select_best(d, powerset(abc), "bic", folds=5)
+        for criterion in ("aic", "bic", "adjr2"):
+            with pytest.raises(ValueError, match="only to criterion 'cv'"):
+                select_best(d, powerset(abc), criterion, seed=1)
         with pytest.raises(ValueError):
             select_best(d, powerset(abc), "cv")
         with pytest.raises(ValueError):
