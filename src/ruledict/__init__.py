@@ -4,7 +4,13 @@ The pipeline: write a rule in the small text DSL (or build the
 expression tree directly), evaluate it to the exact set of permissible
 covariate subsets, then either map that set onto a grouping structure
 for a penalised estimator or hand it to the best-subset OLS selector.
+
+Only that selector needs numpy, so its module, :mod:`ruledict.select`,
+is imported on first use of one of its names rather than with the
+package.
 """
+
+import importlib
 
 from .core import (
     DEFAULT_MAX_ENUM,
@@ -73,18 +79,30 @@ from .rules import (
     stage_outcomes,
     unit_dictionary,
 )
-from .select import (
-    Dataset,
-    FitResult,
-    RankedModels,
-    ScoredModel,
-    fit_ols,
-    load_dataset,
-    score,
-    select_best,
-)
 
 __version__ = "0.1.0"
+
+#: Names taken from ``.select``, imported with it on first access.
+_SELECT_NAMES = (
+    "Dataset",
+    "FitResult",
+    "RankedModels",
+    "ScoredModel",
+    "fit_ols",
+    "load_dataset",
+    "score",
+    "select_best",
+)
+
+
+def __getattr__(name: str):
+    """Import ``.select`` (and numpy) when it or one of its names is first used (PEP 562)."""
+    if name != "select" and name not in _SELECT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    select = importlib.import_module(".select", __name__)
+    globals().update({n: getattr(select, n) for n in _SELECT_NAMES})
+    return select if name == "select" else globals()[name]
+
 
 __all__ = [
     "And",

@@ -17,6 +17,7 @@ diagnostics go to standard error. The environment variable
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -54,7 +55,6 @@ from .rules import (
     rules_equivalent,
     sequential_nodes,
 )
-from .select import load_dataset, select_best
 
 # Errors that are verdicts about the domain objects, not about the input.
 _DOMAIN_ERRORS = (
@@ -66,6 +66,17 @@ _DOMAIN_ERRORS = (
     Underdetermined,
     SynthesisFailure,
 )
+
+
+def __getattr__(name: str):
+    """``load_dataset`` and ``select_best``, bound from ``.select`` on first access (PEP 562).
+
+    ``.select`` imports numpy, which no other command needs.
+    """
+    if name not in ("load_dataset", "select_best"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(".select", __package__), name)
+    return value
 
 
 def _error_tag(exc: Exception) -> str:
@@ -301,8 +312,11 @@ def _cmd_select(args) -> int:
     cap = _max_enum()
     u, expr = _load_rule(args.rule, args.vars)
     d = eval_rule(u, expr, max_entries=cap)
-    data = load_dataset(args.data, args.outcome, u)
-    ranked = select_best(
+    # Module attributes, so numpy loads here, and a name that was rebound
+    # (to time it, say) is called as rebound.
+    this = sys.modules[__name__]
+    data = this.load_dataset(args.data, args.outcome, u)
+    ranked = this.select_best(
         data, d, args.criterion, folds=args.folds, seed=args.seed
     )
     payload = [

@@ -66,11 +66,12 @@ class RuleExpr:
     """Base class for rule expression nodes.
 
     Each node type has a fixed number of children, so the pre-order
-    sequence of (node type, unit rule) pairs fixes a tree. Equality and
-    hashing compare that sequence instead of recursing.
+    sequence of (node type, unit rule) pairs fixes a tree. Equality
+    compares that sequence instead of recursing. The hash is built
+    bottom-up, once per node, and kept on the node.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def _preorder_keys(self) -> Iterator[tuple]:
         return ((type(n), getattr(n, "rule", None)) for n in _walk(self))
@@ -81,20 +82,56 @@ class RuleExpr:
         return tuple(self._preorder_keys()) == tuple(other._preorder_keys())
 
     def __hash__(self):
-        return hash(tuple(self._preorder_keys()))
+        def visit(node, kids):
+            if not hasattr(node, "_hash"):
+                key = (type(node), getattr(node, "rule", None), *kids)
+                object.__setattr__(node, "_hash", hash(key))
+            return node._hash
+
+        # A subtree hashed before is not walked again.
+        return _fold(self, lambda n: () if hasattr(n, "_hash") else _children(n), visit)
+
+    def __repr__(self):
+        # The dataclass text, Not(child=Unit(rule=UnitRule(...))), written
+        # in order: _fold takes a node's children before visiting any of
+        # them and visits the node after all of them, so the opening text
+        # goes out from ``opening``, the ")" from ``closing``, and the
+        # text between two fields is a child of its own.
+        out = []
+
+        def opening(item):
+            if isinstance(item, str):
+                out.append(item)
+                return ()
+            if type(item) is Unit:
+                out.append(f"Unit(rule={item.rule!r})")
+                return ()
+            first, *rest = _SHAPES[type(item)][1]
+            out.append(f"{type(item).__qualname__}({first}=")
+            kids = [getattr(item, first)]
+            for field in rest:
+                kids += [f", {field}=", getattr(item, field)]
+            return kids
+
+        def closing(item, _):
+            if isinstance(item, RuleExpr) and type(item) is not Unit:
+                out.append(")")
+
+        _fold(self, opening, closing)
+        return "".join(out)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Unit(RuleExpr):
     rule: UnitRule
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(RuleExpr):
     child: RuleExpr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class _Binary(RuleExpr):
     """A node with two operands; the subclass names the operation."""
 

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -33,15 +34,20 @@ DATA = "fixtures/data"
 GOLDEN = "fixtures/golden"
 
 
-def run_cli(*argv, env_extra=None, cwd=ROOT):
+def _env(env_extra=None):
+    """This process's environment, with the package under ``src`` importable."""
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
+    return env
+
+
+def run_cli(*argv, env_extra=None, cwd=ROOT):
     return subprocess.run(
         [sys.executable, "-m", "ruledict.cli", *argv],
         capture_output=True,
         cwd=cwd,
-        env=env,
+        env=_env(env_extra),
     )
 
 
@@ -216,6 +222,19 @@ class TestDictCommand:
         proc = run_cli("dict", "--rule", str(rule), "--stage", "{A,B}", "--stage", "{A}")
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"] == "invalid-stage-result"
+
+    def test_thousands_of_staged_operators(self, tmp_path):
+        # Each stage lookup hashes its operator's subtree; built once per
+        # node, those hashes keep the lookups linear in the operator count.
+        k = 2000
+        unit = "select {0,1} of {A} and select {0} of {B}"
+        rule = tmp_path / "r.rule"
+        rule.write_text("vars: A, B\n" + " => ".join([f"({unit})"] * (k + 1)) + "\n")
+        proc = run_cli("dict", "--rule", str(rule), *["--stage", "{A}"] * k)
+        assert proc.returncode == 0, proc.stderr.decode()[-300:]
+        payload = json.loads(proc.stdout)
+        assert payload["dictionary"] == [[], ["A"]]
+        assert payload["stages"] == [["A"]] * k
 
     def test_missing_rule_file(self):
         proc = run_cli("dict", "--rule", "fixtures/rules/no_such.rule")
@@ -523,3 +542,50 @@ class TestArgumentErrors:
 
     def test_missing_required_flag(self):
         assert run_cli("dict").returncode == 2
+
+
+NUMPY_GUARD = textwrap.dedent(
+    """
+    import contextlib, io, sys
+    import ruledict.cli
+
+    def main(*argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return ruledict.cli.main(list(argv))
+
+    R, G = "fixtures/rules", "fixtures/groupings"
+    assert main("dict", "--rule", f"{R}/strong_heredity.rule") == 0
+    assert main("dict", "--rule", f"{R}/sparse_groups.rule", "--stage", "{A,B}") == 0
+    assert main("equiv", "--rule", f"{R}/one_or_two.rule", "--rule2", f"{R}/one_or_two_alt.rule") == 0
+    assert main("check", "--rule", f"{R}/strong_heredity.rule",
+                "--grouping", f"{G}/strong_heredity.groups", "--method", "log") == 0
+    assert main("check", "--rule", f"{R}/group_pairs.rule",
+                "--grouping", f"{G}/pairs.groups", "--method", "ogl") == 0
+    assert main("synthesize", "--rule", f"{R}/strong_heredity.rule") == 0
+    assert main("from-dict", "--dict", "fixtures/dicts/strong_heredity.dict",
+                "--vars", "A,B1,B2,AB1,AB2") == 0
+    assert "numpy" not in sys.modules, "a command other than select imported numpy"
+
+    assert main("select", "--rule", f"{R}/one_or_two.rule", "--data", "fixtures/data/linear_abc.csv",
+                "--outcome", "Y", "--criterion", "bic") == 0
+    assert "numpy" in sys.modules
+    import ruledict
+    assert ruledict.select_best is ruledict.select.select_best
+    names = {}
+    exec("from ruledict import *", names)
+    assert set(ruledict.__all__) <= set(names), set(ruledict.__all__) - set(names)
+    try:
+        ruledict.no_such_name
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError("ruledict.no_such_name resolved")
+    print("ok")
+    """
+)
+
+
+def test_only_select_imports_numpy():
+    proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD], capture_output=True, cwd=ROOT, env=_env())
+    assert proc.returncode == 0, proc.stderr.decode()[-600:]
+    assert proc.stdout == b"ok\n"

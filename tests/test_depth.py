@@ -183,6 +183,43 @@ def test_deep_stage_lookup(ab, leaf):
     assert eval_rule(ab, seq, stages={copy: chosen}).masks() == (0, 1)
 
 
+def test_separately_built_trees_hash_equal(leaf):
+    copy = Unit(UnitRule(leaf.rule.scope, leaf.rule.constraint))
+    for shape, build in DEEP_TREES.items():
+        # One tree hashed from the root; the other had a subtree hashed first.
+        inner = build(copy)
+        hash(inner)
+        one, two = Not(build(leaf)), Not(inner)
+        assert one is not two and hash(one) == hash(two) and one == two, shape
+
+
+REPRS = {
+    "not (select {0,1} of {A} and select {1} of {A,B}) => "
+    "select {0,1,2} of {A,B} or select {1} of {B} -> select {0} of {A}":
+        "Sequential(left=Not(child=And(left=Unit(rule=UnitRule(scope=VarSet({A}), "
+        "constraint=ConstraintSet({0,1}))), right=Unit(rule=UnitRule(scope=VarSet({A,B}), "
+        "constraint=ConstraintSet({1}))))), right=Implies(left=Or(left=Unit(rule=UnitRule("
+        "scope=VarSet({A,B}), constraint=ConstraintSet({0,1,2}))), right=Unit(rule=UnitRule("
+        "scope=VarSet({B}), constraint=ConstraintSet({1})))), right=Unit(rule=UnitRule("
+        "scope=VarSet({A}), constraint=ConstraintSet({0})))))",
+    "select {1} of {A} => select {1} of {A} => select {1} of {A}":
+        "Sequential(left=Unit(rule=UnitRule(scope=VarSet({A}), constraint=ConstraintSet({1}))), "
+        "right=Sequential(left=Unit(rule=UnitRule(scope=VarSet({A}), constraint=ConstraintSet({1}))), "
+        "right=Unit(rule=UnitRule(scope=VarSet({A}), constraint=ConstraintSet({1})))))",
+    "select {0,1} of {A}": "Unit(rule=UnitRule(scope=VarSet({A}), constraint=ConstraintSet({0,1})))",
+}
+
+
+@pytest.mark.parametrize("text", REPRS)
+def test_repr_is_the_dataclass_text(ab, text):
+    assert repr(parse_rule(text, ab)) == REPRS[text]
+
+
+def test_deep_repr(leaf):
+    text = repr(_nested_not(leaf, DEEP))
+    assert text == "Not(child=" * DEEP + repr(leaf) + ")" * DEEP
+
+
 def _calls(func: ast.AST) -> set[str]:
     """What a function calls directly: plain names, and ``.name`` for ``self``/``cls`` methods."""
     out = set()
