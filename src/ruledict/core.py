@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterable, Iterator
@@ -201,11 +201,11 @@ class Dictionary:
     admitted, so set algebra is integer bit algebra. Over a larger
     universe the family is a sorted tuple of masks, since there the map
     costs more than it saves. The choice depends on the universe size
-    alone. ``masks()``, ``entries`` and iteration are views built on
-    first use.
+    alone. ``masks()``, ``entries``, iteration and the byte view that
+    membership tests index are built on first use.
     """
 
-    __slots__ = ("universe", "_data", "_masks", "_entries")
+    __slots__ = ("universe", "_data", "_masks", "_entries", "_bytes")
 
     def __init__(self, universe: Universe, entries: Iterable[VarSet] = ()):
         self._set(universe, _pack(universe, (v.mask for v in entries)))
@@ -215,6 +215,7 @@ class Dictionary:
         self._data = data
         self._masks = None
         self._entries = None
+        self._bytes = None
 
     @classmethod
     def _of(cls, universe: Universe, data) -> "Dictionary":
@@ -294,7 +295,11 @@ class Dictionary:
 
     def __contains__(self, v: VarSet) -> bool:
         if self._bitmap:
-            return bool(self._data >> v.mask & 1)
+            # Shifting the int would cost O(2**n) per test; a byte lookup is O(1).
+            if self._bytes is None:
+                self._bytes = self._data.to_bytes(((1 << self.universe.size) + 7) // 8, "little")
+            byte = v.mask >> 3
+            return byte < len(self._bytes) and bool(self._bytes[byte] >> (v.mask & 7) & 1)
         i = bisect_left(self._data, v.mask)
         return i < len(self._data) and self._data[i] == v.mask
 
@@ -337,7 +342,9 @@ class Dictionary:
         """Entries that are subsets of ``v``."""
         outside = self.universe.full_mask & ~v.mask
         if self._bitmap:
-            return self.intersection(Dictionary.of_counts(self.universe, outside, (0,)))
+            planes = var_planes(self.universe.size)
+            hit = reduce(or_, (planes[i] for i in _bit_positions(outside)), 0)
+            return Dictionary._of(self.universe, self._data & ~hit)
         return Dictionary._of(self.universe, tuple(m for m in self._data if not m & outside))
 
     def to_text(self) -> str:
@@ -391,6 +398,25 @@ def _pack(universe: Universe, masks: Iterable[int]):
     for m in ordered:
         buf[m >> 3] |= 1 << (m & 7)
     return int.from_bytes(buf, "little")
+
+
+@cache
+def var_planes(n: int) -> tuple[int, ...]:
+    """Per-variable bitmaps over the ``2**n`` masks of an ``n``-covariate universe.
+
+    Plane ``i`` has bit ``m`` set exactly when mask ``m`` contains
+    variable ``i``: runs of ``2**i`` zeros then ``2**i`` ones, repeated.
+    Only bitmap universes (at most :data:`BITMAP_MAX_VARS` covariates)
+    ask for planes, so the cache holds a few megabytes at most.
+    """
+    planes = []
+    for i in range(n):
+        plane, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < 1 << n:
+            plane |= plane << width
+            width <<= 1
+        planes.append(plane)
+    return tuple(planes)
 
 
 def _bit_positions(bits: int) -> tuple[int, ...]:

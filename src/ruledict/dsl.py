@@ -58,8 +58,9 @@ _TOKEN_RE = re.compile(
     | (?P<lparen>\()
     | (?P<rparen>\))
     | (?P<comma>,)
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {"select", "of", "and", "or", "not"}
@@ -73,25 +74,25 @@ def _byte_span(text: str, cstart: int, cend: int) -> SourceSpan:
 
 
 def _tokenize(text: str) -> list[Token]:
+    # One scan: every character starts a match, the last group catching
+    # any character no token can start with.
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind in ("ws", "comment"):
+            continue
+        start, end = m.span()
+        if kind == "bad":
             raise ParseError(
-                f"unexpected character {text[pos]!r}",
-                span=_byte_span(text, pos, pos + 1),
+                f"unexpected character {m.group()!r}",
+                span=_byte_span(text, start, end),
                 expected=["a token"],
             )
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            word = m.group()
-            if kind == "name" and word in _KEYWORDS:
-                kind = word
-            tokens.append(Token(kind, word, pos, m.end()))
-        pos = m.end()
-    tokens.append(Token("eof", "", n, n))
+        word = m.group()
+        if kind == "name" and word in _KEYWORDS:
+            kind = word
+        tokens.append(Token(kind, word, start, end))
+    tokens.append(Token("eof", "", len(text), len(text)))
     return tokens
 
 

@@ -15,14 +15,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import or_
 
 from .core import (
+    BITMAP_MAX_VARS,
     DEFAULT_MAX_ENUM,
     ConstraintSet,
     Dictionary,
     Universe,
     VarSet,
+    _bit_positions,
     parse_braced_names,
+    var_planes,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -137,14 +141,25 @@ def union_closure(g: GroupingStructure, max_entries: int = DEFAULT_MAX_ENUM) -> 
 
     Computed in one pass over the groups: after each group, the reached
     unions are those of the groups so far. Bounded by the number of
-    distinct unions rather than the 2^m subfamilies.
+    distinct unions rather than the 2^m subfamilies. On a bitmap, adding
+    a group forces its bits into every reached mask: for each member
+    ``i``, the masks without ``i`` move up by ``2**i``.
     """
-    reached = {0}
+    u = g.universe
+    bitmap = u.size <= BITMAP_MAX_VARS
+    planes = var_planes(u.size) if bitmap else ()
+    reached = 1 if bitmap else {0}
     for gm in g.masks():
-        reached |= {m | gm for m in reached}
-        if len(reached) > max_entries:
+        if bitmap:
+            moved = reached
+            for i in _bit_positions(gm):
+                moved = (moved & planes[i]) | ((moved & ~planes[i]) << (1 << i))
+            reached |= moved
+        else:
+            reached |= {m | gm for m in reached}
+        if (reached.bit_count() if bitmap else len(reached)) > max_entries:
             raise EnumerationTooLarge(f"union closure exceeds {max_entries} entries")
-    return Dictionary.from_masks(g.universe, reached)
+    return Dictionary._of(u, reached) if bitmap else Dictionary.from_masks(u, reached)
 
 
 @dataclass(frozen=True)
@@ -195,9 +210,14 @@ def check_ogl_necessary(
     """
     u = g.universe
     closure = union_closure(g, max_entries)
-    comp_masks = {u.full_mask & ~m for m in closure.masks()}
-    rule_family = Dictionary.from_masks(u, (m for m in d.masks() if m != u.full_mask))
-    method_family = Dictionary.from_masks(u, (m for m in comp_masks if m != u.full_mask))
+    if closure._bitmap:
+        # Mask m maps to full ^ m, which reverses the 2**n-bit map.
+        complements = Dictionary._of(u, _reverse_bits(closure._data, 1 << u.size))
+    else:
+        complements = Dictionary.from_masks(u, (u.full_mask & ~m for m in closure.masks()))
+    full = Dictionary.from_masks(u, (u.full_mask,))
+    rule_family = d.difference(full)
+    method_family = complements.difference(full)
     missing = rule_family.difference(method_family)
     extra = method_family.difference(rule_family)
     return CongruenceReport(
@@ -209,13 +229,86 @@ def check_ogl_necessary(
     )
 
 
-def _irreducible_generators(d: Dictionary) -> list[int]:
-    """Entries that are not unions of strictly smaller entries of ``d``."""
-    masks = [m for m in d.masks() if m != 0]
+#: Each byte value with its 8 bits in reverse order.
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reverse_bits(bits: int, width: int) -> int:
+    """``bits`` read backwards over ``width`` bits: bit m moves to ``width - 1 - m``."""
+    size = (width + 7) // 8
+    flipped = int.from_bytes(bits.to_bytes(size, "big").translate(_BYTE_REVERSED), "little")
+    return flipped >> (8 * size - width)
+
+
+def _irreducible_bitmap(d: Dictionary) -> tuple[int, ...] | None:
+    """The union-irreducible entries of a bitmap family that holds the empty set.
+
+    Returns ``None`` when the family is not union-closed. For each
+    variable ``j``, the up-closure ``up`` of the entries containing ``j``
+    marks the masks m whose union U(m) of entries inside m contains
+    ``j``; a family with the empty set is union-closed exactly when its
+    members are the fixed points U(m) = m. Shifting ``up`` one variable
+    further marks the masks with an entry strictly inside them that
+    contains ``j``, and an entry is irreducible exactly when some
+    variable of it is in no entry strictly inside it. This is the subset
+    zeta transform done bit-parallel: about 2n^2 operations on
+    ``2**n``-bit ints.
+    """
+    planes = var_planes(d.universe.size)
+    steps = [(~p, 1 << i) for i, p in enumerate(planes)]
+    bits = d._data
+    fixed = (1 << (1 << d.universe.size)) - 1
+    exposed = 0
+    for plane in planes:
+        up = bits & plane
+        for outside, shift in steps:
+            up |= (up & outside) << shift
+        fixed &= ~(up ^ plane)
+        below = 0
+        for outside, shift in steps:
+            below |= (up & outside) << shift
+        exposed |= plane & ~below
+    if fixed != bits:
+        return None
+    return Dictionary._of(d.universe, bits & exposed).masks()
+
+
+def _first_gap(d: Dictionary) -> tuple[int, int] | None:
+    """The first pair a < b of entries, in ascending order, whose union is no entry.
+
+    ``None`` when the family is union-closed. On a bitmap, projecting
+    the family onto the supersets of a (bit b of ``proj`` is bit a|b of
+    the family) takes one step per variable of a; a mask tuple is
+    searched pair by pair.
+    """
+    if not d._bitmap:
+        masks = d.masks()
+        present = set(masks)
+        pairs = ((a, b) for i, a in enumerate(masks) for b in masks[i + 1 :])
+        return next(((a, b) for a, b in pairs if a | b not in present), None)
+    planes = var_planes(d.universe.size)
+    bits = d._data
+    # Dropping a variable that never decides membership from a failing
+    # pair leaves a smaller failing pair, so the first pair has none.
+    free = [p for i, p in enumerate(planes) if (bits & p) >> (1 << i) == bits & ~p]
+    for a in Dictionary._of(d.universe, bits & ~reduce(or_, free, 0)).masks():
+        proj = bits
+        for i in _bit_positions(a):
+            upper = proj & planes[i]
+            proj = upper | (upper >> (1 << i))
+        gaps = (bits & ~proj) >> (a + 1)
+        if gaps:
+            return a, a + (gaps & -gaps).bit_length()
+    return None
+
+
+def _irreducible_generators(masks: tuple[int, ...]) -> list[int]:
+    """Entries that are not unions of strictly smaller entries, pairwise."""
+    nonzero = [m for m in masks if m != 0]
     out = []
-    for m in masks:
+    for m in nonzero:
         union = 0
-        for other in masks:
+        for other in nonzero:
             if other != m and (other & ~m) == 0:
                 union |= other
         if union != m:
@@ -228,31 +321,35 @@ def synthesize_log_grouping(d: Dictionary) -> GroupingStructure:
 
     One exists iff ``d`` contains the empty set and the full universe
     and is closed under pairwise unions. On failure the raised error
-    says which condition broke, with a witness pair for closure.
+    says which condition broke, with a witness pair for closure: the
+    first pair a < b, in ascending mask order, whose union is missing.
+    Over at most :data:`BITMAP_MAX_VARS` covariates this costs about n^2
+    bitmap operations; over more it compares every pair of entries.
     """
     u = d.universe
-    masks = set(d.masks())
-    if 0 not in masks:
+    if VarSet.empty(u) not in d:
         raise SynthesisFailure(
             "dictionary lacks the empty set", reason="missing-empty-set"
         )
-    if u.full_mask not in masks:
+    if VarSet.full(u) not in d:
         raise SynthesisFailure(
             "dictionary lacks the full universe", reason="missing-full-set"
         )
-    ordered = sorted(masks)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if (a | b) not in masks:
-                raise SynthesisFailure(
-                    f"not closed under union: "
-                    f"{VarSet(u, a).to_text()} with {VarSet(u, b).to_text()}",
-                    reason="not-union-closed",
-                    witness=(VarSet(u, a), VarSet(u, b)),
-                )
     # The irreducibles of a union-closed family generate it.
-    groups = _irreducible_generators(d)
-    return GroupingStructure(u, tuple(VarSet(u, m) for m in sorted(groups)))
+    if d._bitmap:
+        groups = _irreducible_bitmap(d)
+        gap = _first_gap(d) if groups is None else None
+    else:
+        gap = _first_gap(d)
+        groups = _irreducible_generators(d.masks()) if gap is None else None
+    if gap is not None:
+        a, b = VarSet(u, gap[0]), VarSet(u, gap[1])
+        raise SynthesisFailure(
+            f"not closed under union: {a.to_text()} with {b.to_text()}",
+            reason="not-union-closed",
+            witness=(a, b),
+        )
+    return GroupingStructure(u, tuple(VarSet(u, m) for m in groups))
 
 
 def check_compatibility(method: Method, g: GroupingStructure) -> bool:

@@ -120,6 +120,14 @@ class RuleExpr:
         _fold(self, opening, closing)
         return "".join(out)
 
+    def __reduce__(self):
+        # The pickler recurses into fields, so a deep tree ships flat, in
+        # post-order: each leaf as its unit rule, each other node as its class.
+        flat = []
+        _fold(self, _children, lambda node, _: flat.append(
+            node.rule if type(node) is Unit else type(node)))
+        return _from_postorder, (tuple(flat),)
+
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Unit(RuleExpr):
@@ -206,6 +214,20 @@ def _fold(root, children: Callable, visit: Callable):
         del results[first:]
         results.append(value)
     return results[0]
+
+
+def _from_postorder(flat: tuple) -> RuleExpr:
+    """Rebuild the tree that :meth:`RuleExpr.__reduce__` flattened."""
+    stack: list = []
+    for item in flat:
+        if isinstance(item, UnitRule):
+            stack.append(Unit(item))
+            continue
+        first = len(stack) - len(_SHAPES[item][1])
+        kids = stack[first:]
+        del stack[first:]
+        stack.append(item(*kids))
+    return stack[0]
 
 
 @dataclass(frozen=True, slots=True)

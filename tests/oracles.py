@@ -14,6 +14,7 @@ import random
 import numpy as np
 
 from ruledict.core import ConstraintSet, Universe, VarSet
+from ruledict.errors import EnumerationTooLarge
 from ruledict.grouping import GroupingStructure
 from ruledict.rules import (
     And,
@@ -77,6 +78,55 @@ def closure_by_enumeration(universe_size: int, group_masks) -> set[int]:
                 m |= gm
         out.add(m)
     return out
+
+
+def closure_by_sets(group_masks, max_entries: int) -> set[int]:
+    """Union closure one group at a time over a set of masks.
+
+    Raises EnumerationTooLarge as soon as the reached set passes
+    ``max_entries``, as the library does.
+    """
+    reached = {0}
+    for gm in group_masks:
+        reached |= {m | gm for m in reached}
+        if len(reached) > max_entries:
+            raise EnumerationTooLarge(f"union closure exceeds {max_entries} entries")
+    return reached
+
+
+def first_union_gap(masks) -> tuple[int, int] | None:
+    """The first pair a < b, in ascending order, with a | b outside the family."""
+    ordered = sorted(set(masks))
+    present = set(ordered)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            if (a | b) not in present:
+                return a, b
+    return None
+
+
+def irreducible_generators(masks) -> list[int]:
+    """Non-empty entries that are not the union of the entries strictly inside them."""
+    nonzero = sorted(set(masks) - {0})
+    out = []
+    for m in nonzero:
+        union = 0
+        for other in nonzero:
+            if other != m and (other & ~m) == 0:
+                union |= other
+        if union != m:
+            out.append(m)
+    return out
+
+
+def ogl_families(universe_size: int, masks, closure) -> tuple[set[int], set[int]]:
+    """The two families the overlapping check compares, full universe set aside.
+
+    The rule side is the dictionary; the method side is the complements
+    of the group unions.
+    """
+    full = (1 << universe_size) - 1
+    return set(masks) - {full}, {full & ~m for m in closure} - {full}
 
 
 def normal_equations_fit(design: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -42,12 +42,13 @@ def _env(env_extra=None):
     return env
 
 
-def run_cli(*argv, env_extra=None, cwd=ROOT):
+def run_cli(*argv, env_extra=None, cwd=ROOT, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "ruledict.cli", *argv],
         capture_output=True,
         cwd=cwd,
         env=_env(env_extra),
+        timeout=timeout,
     )
 
 
@@ -436,6 +437,33 @@ class TestCheckCommand:
             "--grouping", f"{GROUPS}/pairs.groups", "--method", "latent",
         )
         assert proc.returncode == 2
+
+
+class TestSynthesizeCommand:
+    def test_eighteen_variables(self, tmp_path):
+        # 71,680 entries: checking every pair of them runs far past the timeout.
+        names = ["A", "B", "AB", "C", "D", "CD", "P", "Q"] + [f"F{i}" for i in range(10)]
+        rule = tmp_path / "r.rule"
+        rule.write_text(
+            f"vars: {', '.join(names)}\n"
+            "(select {1} of {AB} -> select {2} of {A,B})\n"
+            "and (select {1} of {CD} -> select {1,2} of {C,D})\n"
+            "and select {0,2} of {P,Q}\n"
+        )
+        proc = run_cli("synthesize", "--rule", str(rule), timeout=20)
+        assert proc.returncode == 0, proc.stderr.decode()
+        groups = json.loads(proc.stdout)["groups"]
+        assert groups == [
+            ["A"], ["B"], ["A", "B", "AB"], ["C"], ["D"], ["C", "CD"], ["D", "CD"], ["P", "Q"],
+        ] + [[f"F{i}"] for i in range(10)]
+        grouping = tmp_path / "g.groups"
+        grouping.write_text("".join("{" + ",".join(g) + "}\n" for g in groups))
+        proc = run_cli(
+            "check", "--rule", str(rule), "--grouping", str(grouping), "--method", "log",
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert json.loads(proc.stdout)["congruent"] is True
 
 
 class TestSelectCommand:

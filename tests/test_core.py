@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ruledict.core import (
@@ -126,6 +128,25 @@ class TestDictionary:
         d = Dictionary.from_masks(abc, [0b011])
         assert VarSet.of_names(abc, ["A", "B"]) in d
         assert VarSet.of_names(abc, ["A"]) not in d
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+    def test_membership_matches_masks(self, n):
+        u = make_universe([f"v{i}" for i in range(n)])
+        masks = {m for m in range(1 << n) if m % 3 != 1}
+        d = Dictionary.from_masks(u, masks)
+        assert [VarSet(u, m) in d for m in range(1 << n)] == [m in masks for m in range(1 << n)]
+        # A subset of a larger universe is never a member.
+        bigger = make_universe([f"v{i}" for i in range(n + 3)])
+        assert all(VarSet(bigger, m) not in d for m in range(1 << n, 1 << (n + 3)))
+
+    def test_membership_cost_does_not_grow_with_the_map(self):
+        # Shifting the 2**20-bit map per test took over 2.5 s for these probes.
+        u = make_universe([f"v{i}" for i in range(20)])
+        d = powerset(u)
+        probes = [VarSet(u, (i * 2654435761) & u.full_mask) for i in range(200_000)]
+        start = time.perf_counter()
+        assert all(v in d for v in probes)
+        assert time.perf_counter() - start < 1.0
 
     def test_set_algebra(self, abc):
         d1 = Dictionary.from_masks(abc, [0, 1, 2])

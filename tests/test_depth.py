@@ -11,6 +11,7 @@ check that deep inputs end in exit 0, 1 or 2 and never in a traceback.
 import ast
 import json
 import pathlib
+import pickle
 import random
 import sys
 
@@ -231,6 +232,22 @@ def _calls(func: ast.AST) -> set[str]:
             elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) in ("self", "cls"):
                 out.add("." + f.attr)
     return out
+
+
+PICKLED = {
+    "not-3000": lambda ab, leaf: _nested_not(leaf, 3_000),
+    "implies-20000": lambda ab, leaf: _right_deep(Implies, leaf, 20_000),
+    "every-kind": lambda ab, leaf: parse_rule(next(iter(REPRS)), ab),
+}
+
+
+@pytest.mark.parametrize("shape", PICKLED)
+def test_pickle_round_trip(ab, leaf, shape):
+    expr = PICKLED[shape](ab, leaf)
+    again = pickle.loads(pickle.dumps(expr))
+    assert again is not expr
+    assert again == expr
+    assert hash(again) == hash(expr)
 
 
 def test_no_function_calls_itself():

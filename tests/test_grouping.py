@@ -1,9 +1,13 @@
 import random
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ruledict.core import Dictionary, VarSet, make_universe, powerset
+from ruledict.core import DEFAULT_MAX_ENUM, Dictionary, VarSet, make_universe, powerset
 from ruledict.errors import (
     EnumerationTooLarge,
     IncompatibleGrouping,
@@ -24,7 +28,14 @@ from ruledict.grouping import (
 )
 from ruledict.rules import eval_rule
 
-from oracles import closure_by_enumeration, random_covering_groups
+from oracles import (
+    closure_by_enumeration,
+    closure_by_sets,
+    first_union_gap,
+    irreducible_generators,
+    ogl_families,
+    random_covering_groups,
+)
 
 
 @pytest.fixture
@@ -307,6 +318,107 @@ class TestSynthesis:
     def test_deterministic(self, interaction):
         d = Dictionary.from_masks(interaction, [0, 1, 6, 7, 31])
         assert synthesize_log_grouping(d) == synthesize_log_grouping(d)
+
+
+@st.composite
+def groupings(draw, max_vars=10):
+    """A covering grouping over 1 to ``max_vars`` covariates."""
+    n = draw(st.integers(1, max_vars))
+    u = make_universe([f"v{i}" for i in range(n)])
+    masks = draw(st.lists(st.integers(1, u.full_mask), min_size=1, max_size=6, unique=True))
+    leftover = u.full_mask & ~reduce(or_, masks)
+    if leftover:
+        masks.append(leftover)
+    return GroupingStructure(u, tuple(VarSet(u, m) for m in masks))
+
+
+@st.composite
+def near_closures(draw):
+    """A grouping and its union closure with up to three masks toggled."""
+    g = draw(groupings())
+    toggled = draw(st.sets(st.integers(0, g.universe.full_mask), max_size=3))
+    return g, closure_by_sets(g.masks(), DEFAULT_MAX_ENUM) ^ toggled
+
+
+class TestBitmapPathMatchesOracles:
+    """The bitmap transforms against the pairwise and set-based references."""
+
+    @given(groupings(), st.integers(-2, 1))
+    def test_closure_and_its_cap(self, g, slack):
+        cap = max(1, len(closure_by_sets(g.masks(), DEFAULT_MAX_ENUM)) + slack)
+        try:
+            want = closure_by_sets(g.masks(), cap)
+        except EnumerationTooLarge:
+            with pytest.raises(EnumerationTooLarge):
+                union_closure(g, max_entries=cap)
+        else:
+            assert union_closure(g, max_entries=cap).masks() == tuple(sorted(want))
+
+    @given(near_closures())
+    def test_synthesis_groups_or_witness(self, case):
+        g, masks = case
+        u = g.universe
+        d = Dictionary.from_masks(u, masks)
+        if 0 not in masks or u.full_mask not in masks:
+            with pytest.raises(SynthesisFailure) as exc:
+                synthesize_log_grouping(d)
+            assert exc.value.reason in ("missing-empty-set", "missing-full-set")
+            return
+        gap = first_union_gap(masks)
+        if gap is None:
+            assert synthesize_log_grouping(d).masks() == tuple(irreducible_generators(masks))
+        else:
+            with pytest.raises(SynthesisFailure) as exc:
+                synthesize_log_grouping(d)
+            assert exc.value.reason == "not-union-closed"
+            assert tuple(v.mask for v in exc.value.witness) == gap
+
+    @given(near_closures())
+    def test_ogl_families(self, case):
+        g, masks = case
+        d = Dictionary.from_masks(g.universe, masks)
+        rule, method = ogl_families(
+            g.universe.size, masks, closure_by_sets(g.masks(), DEFAULT_MAX_ENUM)
+        )
+        report = check_ogl_necessary(d, g)
+        assert report.rule_family.masks() == tuple(sorted(rule))
+        assert report.method_family.masks() == tuple(sorted(method))
+        assert report.missing.masks() == tuple(sorted(rule - method))
+        assert report.extra.masks() == tuple(sorted(method - rule))
+        assert report.congruent == (rule == method)
+
+    @pytest.mark.parametrize("scope", [0b11100000, 0b01010010])
+    @pytest.mark.parametrize("counts", [(0, 1, 3), (0, 2, 3), (0, 1, 2, 3), (0, 3)])
+    def test_witness_next_to_free_variables(self, scope, counts):
+        u = make_universe([f"v{i}" for i in range(8)])
+        masks = {m for m in range(1 << 8) if (m & scope).bit_count() in counts}
+        d = Dictionary.from_masks(u, masks)
+        gap = first_union_gap(masks)
+        if gap is None:
+            assert synthesize_log_grouping(d).masks() == tuple(irreducible_generators(masks))
+        else:
+            with pytest.raises(SynthesisFailure) as exc:
+                synthesize_log_grouping(d)
+            assert tuple(v.mask for v in exc.value.witness) == gap
+
+    def test_tuple_path_above_the_bitmap_boundary(self):
+        u = make_universe([f"v{i}" for i in range(21)])
+        masks = (0b11, 0b110, 1 << 5, 0b111 << 10, u.full_mask)
+        g = GroupingStructure(u, tuple(VarSet(u, m) for m in masks))
+        closure = closure_by_sets(masks, DEFAULT_MAX_ENUM)
+        d = union_closure(g)
+        assert d.masks() == tuple(sorted(closure))
+        assert synthesize_log_grouping(d).masks() == tuple(irreducible_generators(closure))
+        rule, method = ogl_families(u.size, closure, closure)
+        report = check_ogl_necessary(d, g)
+        assert report.rule_family.masks() == tuple(sorted(rule))
+        assert report.method_family.masks() == tuple(sorted(method))
+        gappy = closure - {0b111}
+        with pytest.raises(SynthesisFailure) as exc:
+            synthesize_log_grouping(Dictionary.from_masks(u, gappy))
+        assert tuple(v.mask for v in exc.value.witness) == first_union_gap(gappy) == (0b11, 0b110)
+        with pytest.raises(EnumerationTooLarge):
+            union_closure(g, max_entries=len(closure) - 1)
 
 
 class TestCompatibility:
