@@ -60,7 +60,7 @@ _TOKEN_RE = re.compile(
     | (?P<comma>,)
     | (?P<bad>.)
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
 _KEYWORDS = {"select", "of", "and", "or", "not"}

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
 
 from .core import (
     BITMAP_MAX_VARS,
@@ -288,10 +287,7 @@ def _first_gap(d: Dictionary) -> tuple[int, int] | None:
         return next(((a, b) for a, b in pairs if a | b not in present), None)
     planes = var_planes(d.universe.size)
     bits = d._data
-    # Dropping a variable that never decides membership from a failing
-    # pair leaves a smaller failing pair, so the first pair has none.
-    free = [p for i, p in enumerate(planes) if (bits & p) >> (1 << i) == bits & ~p]
-    for a in Dictionary._of(d.universe, bits & ~reduce(or_, free, 0)).masks():
+    for a in d.masks():
         proj = bits
         for i in _bit_positions(a):
             upper = proj & planes[i]

@@ -408,15 +408,28 @@ class TestBitmapPathMatchesOracles:
         closure = closure_by_sets(masks, DEFAULT_MAX_ENUM)
         d = union_closure(g)
         assert d.masks() == tuple(sorted(closure))
-        assert synthesize_log_grouping(d).masks() == tuple(irreducible_generators(closure))
+        assert set(d.masks()) == closure_by_enumeration(u.size, masks)
+        synthesized = synthesize_log_grouping(d)
+        assert synthesized.masks() == tuple(irreducible_generators(closure))
+        # No input group is a union of the others, so they come back sorted.
+        assert synthesized.masks() == tuple(sorted(masks))
+        assert union_closure(synthesized) == d
         rule, method = ogl_families(u.size, closure, closure)
         report = check_ogl_necessary(d, g)
         assert report.rule_family.masks() == tuple(sorted(rule))
         assert report.method_family.masks() == tuple(sorted(method))
-        gappy = closure - {0b111}
-        with pytest.raises(SynthesisFailure) as exc:
-            synthesize_log_grouping(Dictionary.from_masks(u, gappy))
-        assert tuple(v.mask for v in exc.value.witness) == first_union_gap(gappy) == (0b11, 0b110)
+        assert all(u.full_mask & ~m in closure for m in report.method_family.masks())
+        assert len(report.method_family) == len(closure) - 1
+        for dropped, witness in [(0b111, (0b11, 0b110)), (0b111 << 10 | 1 << 5, (1 << 5, 0b111 << 10))]:
+            gappy = closure - {dropped}
+            with pytest.raises(SynthesisFailure) as exc:
+                synthesize_log_grouping(Dictionary.from_masks(u, gappy))
+            a, b = (v.mask for v in exc.value.witness)
+            assert (a, b) == witness == first_union_gap(gappy)
+            assert a | b not in gappy
+            ordered = sorted(gappy)
+            earlier = [(x, y) for x in ordered for y in ordered if x < y and (x, y) < (a, b)]
+            assert all(x | y in gappy for x, y in earlier)
         with pytest.raises(EnumerationTooLarge):
             union_closure(g, max_entries=len(closure) - 1)
 
