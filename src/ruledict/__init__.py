@@ -26,6 +26,7 @@ from .core import (
 from .dsl import SourceSpan, format_rule, parse_rule, read_rule_document
 from .errors import (
     ArityMismatch,
+    ConstantOutcome,
     DatasetTooSmall,
     DuplicateVariable,
     EmptyDictionary,
@@ -108,6 +109,7 @@ __all__ = [
     "And",
     "ArityMismatch",
     "CongruenceReport",
+    "ConstantOutcome",
     "ConstraintSet",
     "Dataset",
     "DatasetTooSmall",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import os
 import re
 import sys
@@ -145,10 +146,52 @@ def _write_dictionary(write, d: Dictionary) -> None:
     write("\n  ]")
 
 
-def _score_json(value: float):
-    if value == float("-inf"):
-        return "-inf"
-    return value
+def _write_ranking(u: Universe, ranked) -> None:
+    """Write the ranking to stdout and its table to stderr, in batches of :data:`_WRITE_BATCH` models.
+
+    Stdout is byte for byte ``json.dumps(payload, indent=2)`` and a newline,
+    where ``payload`` lists ``{"subset", "score", "intercept",
+    "coefficients"}`` per model and a ``-inf`` score is the string
+    ``"-inf"``. Each name is quoted once, and finite floats are written
+    with ``float.__repr__``, as ``json`` writes them.
+    """
+    quoted = [json.dumps(name) for name in u.names]
+    models = ranked.models
+    texts = []
+    write = sys.stdout.write
+    sep = "[\n  "
+    for start in range(0, len(models), _WRITE_BATCH):
+        items = []
+        for m in models[start:start + _WRITE_BATCH]:
+            mask = m.subset.mask
+            idx = [i for i in range(u.size) if mask >> i & 1]
+            texts.append("{" + ",".join([u.names[i] for i in idx]) + "}")
+            if idx:
+                subset = "[\n      " + ",\n      ".join([quoted[i] for i in idx]) + "\n    ]"
+                coefficients = "{\n      " + ",\n      ".join(
+                    [f"{quoted[i]}: {_number(c)}" for i, c in zip(idx, m.coefficients)]
+                ) + "\n    }"
+            else:
+                subset, coefficients = "[]", "{}"
+            score = '"-inf"' if m.score == -math.inf else _number(m.score)
+            items.append(
+                f'{{\n    "subset": {subset},\n    "score": {score},\n'
+                f'    "intercept": {_number(m.intercept)},\n    "coefficients": {coefficients}\n  }}'
+            )
+        write(sep + ",\n  ".join(items))
+        sep = ",\n  "
+    write("\n]\n")
+    write = sys.stderr.write
+    write(f"criterion: {ranked.criterion}\n{'rank':>4}  {'score':>14}  subset\n")
+    for start in range(0, len(models), _WRITE_BATCH):
+        rows = zip(models[start:start + _WRITE_BATCH], texts[start:start + _WRITE_BATCH])
+        write("".join([f"{i:>4}  {m.score:>14.6g}  {text}\n"
+                       for i, (m, text) in enumerate(rows, start + 1)]))
+
+
+def _number(value: float) -> str:
+    """``value`` as ``json.dumps`` writes a float."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
 def _max_enum() -> int:
@@ -319,25 +362,8 @@ def _cmd_select(args) -> int:
     ranked = this.select_best(
         data, d, args.criterion, folds=args.folds, seed=args.seed
     )
-    payload = [
-        {
-            "subset": list(m.subset),
-            "score": _score_json(m.score),
-            "intercept": m.intercept,
-            "coefficients": dict(zip(m.subset, m.coefficients)),
-        }
-        for m in ranked.models
-    ]
-    _emit(payload)
-    _print_table(ranked)
+    _write_ranking(u, ranked)
     return 0
-
-
-def _print_table(ranked) -> None:
-    lines = [f"criterion: {ranked.criterion}", f"{'rank':>4}  {'score':>14}  subset"]
-    for i, m in enumerate(ranked.models, start=1):
-        lines.append(f"{i:>4}  {m.score:>14.6g}  {m.subset.to_text()}")
-    sys.stderr.write("\n".join(lines) + "\n")
 
 
 def _cmd_from_dict(args) -> int:

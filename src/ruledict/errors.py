@@ -92,6 +92,10 @@ class DatasetTooSmall(RuledictError):
     """Fewer than two data rows."""
 
 
+class ConstantOutcome(RuledictError):
+    """A criterion that divides by the outcome's variation met an outcome with none."""
+
+
 class RankDeficient(RuledictError):
     """The design matrix for a requested fit does not have full column rank."""
 

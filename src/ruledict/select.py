@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import Dictionary, Universe, VarSet
 from .errors import (
+    ConstantOutcome,
     DatasetTooSmall,
     EmptyDictionary,
     MissingValue,
@@ -54,7 +55,8 @@ def load_dataset(path, outcome: str, u: Universe) -> Dataset:
     """
     if outcome in u:
         raise SchemaMismatch(f"outcome column {outcome!r} is also a covariate")
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte order mark that spreadsheet tools write.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -126,9 +128,38 @@ class FitResult:
         return dict(zip(self.subset, self.coefficients))
 
 
-def _design(d: Dataset, s: VarSet) -> np.ndarray:
-    idx = [d.universe.index(name) for name in s]
-    return np.column_stack([np.ones(d.n), d.X[:, idx]] if idx else [np.ones(d.n)])
+def _fit(Z: np.ndarray, y: np.ndarray, cols: list[int], s: VarSet, tss: float) -> FitResult:
+    """OLS of ``y`` on the columns ``cols`` of ``Z``, the fit of subset ``s``.
+
+    ``Z`` is the intercept column followed by one column per universe
+    variable, and ``cols`` is 0 then ``1 + i`` for each variable ``i`` of
+    ``s``. ``Z[:, cols]`` is Fortran-ordered like a design stacked column
+    by column, and the last bits of ``design @ beta`` depend on that layout.
+    """
+    k = len(cols)
+    if k > y.shape[0]:
+        raise Underdetermined(f"{k} parameters but only {y.shape[0]} rows")
+    design = Z[:, cols]
+    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < k:
+        raise RankDeficient(f"design for {s.to_text()} has rank {rank} < {k}")
+    resid = y - design @ beta
+    coefficients = beta.tolist()
+    return FitResult(
+        subset=s,
+        intercept=coefficients[0],
+        coefficients=tuple(coefficients[1:]),
+        rss=float(resid @ resid),
+        tss=tss,
+        k=k,
+    )
+
+
+def _shared(d: Dataset) -> tuple[np.ndarray, float]:
+    """What every fit on ``d`` shares: ``Z``, the intercept column followed
+    by every covariate column, and the total sum of squares of the outcome."""
+    centered = d.y - d.y.mean()
+    return np.column_stack([np.ones(d.n), d.X]), float(centered @ centered)
 
 
 def fit_ols(d: Dataset, s: VarSet) -> FitResult:
@@ -138,25 +169,8 @@ def fit_ols(d: Dataset, s: VarSet) -> FitResult:
     normal equations. Rank deficiency is an error: silently dropping a
     column would change which subset was actually fitted.
     """
-    k = len(s) + 1
-    if k > d.n:
-        raise Underdetermined(f"{k} parameters but only {d.n} rows")
-    design = _design(d, s)
-    beta, _, rank, _ = np.linalg.lstsq(design, d.y, rcond=None)
-    if rank < k:
-        raise RankDeficient(f"design for {s.to_text()} has rank {rank} < {k}")
-    resid = d.y - design @ beta
-    rss = float(resid @ resid)
-    centered = d.y - d.y.mean()
-    tss = float(centered @ centered)
-    return FitResult(
-        subset=s,
-        intercept=float(beta[0]),
-        coefficients=tuple(float(b) for b in beta[1:]),
-        rss=rss,
-        tss=tss,
-        k=k,
-    )
+    Z, tss = _shared(d)
+    return _fit(Z, d.y, [0] + [d.universe.index(name) + 1 for name in s], s, tss)
 
 
 def score(f: FitResult, criterion: str, n: int) -> float:
@@ -177,6 +191,8 @@ def score(f: FitResult, criterion: str, n: int) -> float:
         return n * math.log(f.rss / n) + (f.k + 1) * math.log(n)
     if n <= f.k:
         raise DatasetTooSmall(f"adjusted r2 needs n > {f.k}, have n={n}")
+    if f.tss == 0.0:
+        raise ConstantOutcome("adjusted r2 is undefined: every outcome value is the same")
     r2 = 1.0 - f.rss / f.tss
     adjusted = 1.0 - (1.0 - r2) * (n - 1) / (n - f.k)
     return -adjusted
@@ -212,24 +228,20 @@ def _fold_bounds(n: int, folds: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:]))
 
 
-def _cv_score(d: Dataset, s: VarSet, folds: int, order: np.ndarray) -> float:
-    idx = [d.universe.index(name) for name in s]
-    X = d.X[order][:, idx] if idx else np.empty((d.n, 0))
-    y = d.y[order]
-    total = 0.0
-    for start, end in _fold_bounds(d.n, folds):
-        train = np.concatenate([np.arange(0, start), np.arange(end, d.n)])
-        design = np.column_stack([np.ones(train.size), X[train]])
-        beta, _, rank, _ = np.linalg.lstsq(design, y[train], rcond=None)
-        if rank < design.shape[1]:
-            raise RankDeficient(
-                f"training fold design for {s.to_text()} is rank deficient"
-            )
-        test = np.arange(start, end)
-        pred = np.column_stack([np.ones(test.size), X[test]]) @ beta
-        err = y[test] - pred
-        total += float(err @ err)
-    return total / d.n
+def _cv_blocks(Z: np.ndarray, y: np.ndarray, folds: int, seed: int | None) -> list[tuple]:
+    """Per fold: the training ``Z`` and ``y``, the held-out ``Z`` and ``y``.
+
+    Rows are shuffled by ``seed`` first, when one is given. The training
+    ``Z`` is Fortran-ordered, so a model's columns are whole-column copies.
+    """
+    n = y.shape[0]
+    order = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)
+    Z, y = Z[order], y[order]
+    blocks = []
+    for start, end in _fold_bounds(n, folds):
+        keep = np.concatenate([np.arange(0, start), np.arange(end, n)])
+        blocks.append((np.asfortranarray(Z[keep]), y[keep], Z[start:end], y[start:end]))
+    return blocks
 
 
 def select_best(
@@ -266,24 +278,36 @@ def select_best(
         )
     if D.universe != d.universe:
         raise SchemaMismatch("dictionary and dataset use different universes")
+    u, n, y = d.universe, d.n, d.y
+    Z, tss = _shared(d)
     if criterion == "cv":
-        largest = max(len(s) for s in D.entries)
-        min_train = d.n - max(end - start for start, end in _fold_bounds(d.n, folds))
+        largest = max(m.bit_count() for m in D.masks())
+        min_train = n - max(end - start for start, end in _fold_bounds(n, folds))
         if largest + 1 > min_train:
             raise DatasetTooSmall(
                 f"training folds of {min_train} rows cannot fit {largest + 1} parameters"
             )
-        if seed is None:
-            order = np.arange(d.n)
-        else:
-            order = np.random.default_rng(seed).permutation(d.n)
+        blocks = _cv_blocks(Z, y, folds, seed)
     scored = []
-    for subset in D.entries:
-        fit = fit_ols(d, subset)
+    for mask in D.masks():
+        subset = VarSet(u, mask)
+        cols = [0] + [i + 1 for i in range(u.size) if mask >> i & 1]
+        fit = _fit(Z, y, cols, subset, tss)
         if criterion == "cv":
-            value = _cv_score(d, subset, folds, order)
+            total = 0.0
+            for train_Z, train_y, test_Z, test_y in blocks:
+                beta, _, rank, _ = np.linalg.lstsq(train_Z[:, cols], train_y, rcond=None)
+                if rank < fit.k:
+                    raise RankDeficient(
+                        f"training fold design for {subset.to_text()} is rank deficient"
+                    )
+                # take() keeps the held-out design C-ordered; the product's last
+                # bits depend on that layout.
+                err = test_y - test_Z.take(cols, axis=1) @ beta
+                total += float(err @ err)
+            value = total / n
         else:
-            value = score(fit, criterion, d.n)
+            value = score(fit, criterion, n)
         scored.append(
             ScoredModel(
                 subset=subset,

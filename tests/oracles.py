@@ -4,7 +4,9 @@ Everything here recomputes expected values from first principles using
 representations different from the library's: per-subset membership
 scans instead of product constructions, subfamily enumeration instead
 of fixpoints, normal equations instead of orthogonal decompositions.
-Tests compare library output against these.
+A few are frozen copies of earlier library code, kept as references
+that a faster path must match exactly. Tests compare library output
+against these.
 """
 
 from __future__ import annotations
@@ -13,8 +15,15 @@ import random
 
 import numpy as np
 
-from ruledict.core import ConstraintSet, Universe, VarSet
-from ruledict.errors import EnumerationTooLarge
+from ruledict.core import ConstraintSet, Dictionary, Universe, VarSet
+from ruledict.errors import (
+    DatasetTooSmall,
+    EmptyDictionary,
+    EnumerationTooLarge,
+    RankDeficient,
+    SchemaMismatch,
+    Underdetermined,
+)
 from ruledict.grouping import GroupingStructure
 from ruledict.rules import (
     And,
@@ -25,6 +34,15 @@ from ruledict.rules import (
     Sequential,
     Unit,
     UnitRule,
+)
+from ruledict.select import (
+    CRITERIA,
+    Dataset,
+    FitResult,
+    RankedModels,
+    ScoredModel,
+    _fold_bounds,
+    score,
 )
 
 
@@ -134,6 +152,129 @@ def normal_equations_fit(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     xtx = design.T @ design
     xty = design.T @ y
     return np.linalg.solve(xtx, xty)
+
+
+# ---------------------------------------------------------------------------
+# Best-subset selection as it was before the per-model loop was hoisted:
+# one design per model from names, one reordering of X per CV fit. The
+# library must match it bit for bit.
+
+
+def _design(d: Dataset, s: VarSet) -> np.ndarray:
+    idx = [d.universe.index(name) for name in s]
+    return np.column_stack([np.ones(d.n), d.X[:, idx]] if idx else [np.ones(d.n)])
+
+
+def fit_ols(d: Dataset, s: VarSet) -> FitResult:
+    """Least squares with intercept for one subset.
+
+    Uses an orthogonal decomposition (numpy lstsq) rather than the
+    normal equations. Rank deficiency is an error: silently dropping a
+    column would change which subset was actually fitted.
+    """
+    k = len(s) + 1
+    if k > d.n:
+        raise Underdetermined(f"{k} parameters but only {d.n} rows")
+    design = _design(d, s)
+    beta, _, rank, _ = np.linalg.lstsq(design, d.y, rcond=None)
+    if rank < k:
+        raise RankDeficient(f"design for {s.to_text()} has rank {rank} < {k}")
+    resid = d.y - design @ beta
+    rss = float(resid @ resid)
+    centered = d.y - d.y.mean()
+    tss = float(centered @ centered)
+    return FitResult(
+        subset=s,
+        intercept=float(beta[0]),
+        coefficients=tuple(float(b) for b in beta[1:]),
+        rss=rss,
+        tss=tss,
+        k=k,
+    )
+
+
+def _cv_score(d: Dataset, s: VarSet, folds: int, order: np.ndarray) -> float:
+    idx = [d.universe.index(name) for name in s]
+    X = d.X[order][:, idx] if idx else np.empty((d.n, 0))
+    y = d.y[order]
+    total = 0.0
+    for start, end in _fold_bounds(d.n, folds):
+        train = np.concatenate([np.arange(0, start), np.arange(end, d.n)])
+        design = np.column_stack([np.ones(train.size), X[train]])
+        beta, _, rank, _ = np.linalg.lstsq(design, y[train], rcond=None)
+        if rank < design.shape[1]:
+            raise RankDeficient(
+                f"training fold design for {s.to_text()} is rank deficient"
+            )
+        test = np.arange(start, end)
+        pred = np.column_stack([np.ones(test.size), X[test]]) @ beta
+        err = y[test] - pred
+        total += float(err @ err)
+    return total / d.n
+
+
+def select_best(
+    d: Dataset,
+    D: Dictionary,
+    criterion: str,
+    folds: int | None = None,
+    seed: int | None = None,
+) -> RankedModels:
+    """Fit and score every dictionary entry; return them ranked.
+
+    ``criterion`` is one of aic, bic, adjr2, cv. Cross-validation
+    requires ``folds``; its score is the held-out squared error pooled
+    over all rows, and the reported coefficients still come from the
+    full-data fit. ``seed`` shuffles rows before blocking into folds;
+    ``folds`` and ``seed`` are errors for the other criteria.
+    Ties rank the smaller subset first, then canonical subset order.
+    """
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}")
+    if criterion == "cv":
+        if folds is None:
+            raise ValueError("criterion 'cv' requires folds")
+        if folds < 2:
+            raise ValueError("folds must be at least 2")
+        if folds > d.n:
+            raise DatasetTooSmall(f"{folds} folds but only {d.n} rows")
+    elif folds is not None or seed is not None:
+        raise ValueError(f"folds and seed apply only to criterion 'cv', not {criterion!r}")
+    if not D:
+        raise EmptyDictionary(
+            "the dictionary is empty (an incoherent rule admits no subsets), "
+            "so there is nothing to select from"
+        )
+    if D.universe != d.universe:
+        raise SchemaMismatch("dictionary and dataset use different universes")
+    if criterion == "cv":
+        largest = max(len(s) for s in D.entries)
+        min_train = d.n - max(end - start for start, end in _fold_bounds(d.n, folds))
+        if largest + 1 > min_train:
+            raise DatasetTooSmall(
+                f"training folds of {min_train} rows cannot fit {largest + 1} parameters"
+            )
+        if seed is None:
+            order = np.arange(d.n)
+        else:
+            order = np.random.default_rng(seed).permutation(d.n)
+    scored = []
+    for subset in D.entries:
+        fit = fit_ols(d, subset)
+        if criterion == "cv":
+            value = _cv_score(d, subset, folds, order)
+        else:
+            value = score(fit, criterion, d.n)
+        scored.append(
+            ScoredModel(
+                subset=subset,
+                score=value,
+                intercept=fit.intercept,
+                coefficients=fit.coefficients,
+            )
+        )
+    scored.sort(key=lambda m: (m.score, len(m.subset), m.subset.mask))
+    return RankedModels(criterion=criterion, models=tuple(scored))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ walks the fixture tree and fails if any fixture file stops being
 exercised here.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -559,6 +560,123 @@ class TestSelectCommand:
             "--criterion", "mdl",
         )
         assert proc.returncode == 2
+
+    def test_constant_outcome_with_adjr2_is_one_error_line(self, tmp_path):
+        data = tmp_path / "flat.csv"
+        data.write_text("A,B,C,Y\n" + "".join(f"{i},{i * i % 7},{-i},2\n" for i in range(12)))
+        proc = run_cli(
+            "select", "--rule", f"{RULES}/one_or_two.rule",
+            "--data", str(data), "--outcome", "Y", "--criterion", "adjr2",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
+        assert b"Traceback" not in proc.stderr
+
+    def test_utf8_bom_in_csv(self, tmp_path):
+        with open(os.path.join(ROOT, DATA, "linear_abc.csv"), "rb") as fh:
+            text = fh.read()
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        argv = ["select", "--rule", f"{RULES}/one_or_two.rule", "--outcome", "Y",
+                "--criterion", "bic"]
+        plain = run_cli(*argv, "--data", f"{DATA}/linear_abc.csv")
+        with_bom = run_cli(*argv, "--data", str(bom))
+        assert with_bom.returncode == plain.returncode == 0, with_bom.stderr.decode()
+        assert with_bom.stdout == plain.stdout
+
+
+def _select_streams(data, D, criterion, **kwargs):
+    """What ``select`` must write to stdout and stderr, built from the
+    library with a list of dicts, ``json.dumps`` and one joined table."""
+    from ruledict.select import select_best
+
+    ranked = select_best(data, D, criterion, **kwargs)
+    payload = [
+        {
+            "subset": list(m.subset),
+            "score": "-inf" if m.score == float("-inf") else m.score,
+            "intercept": m.intercept,
+            "coefficients": dict(zip(m.subset, m.coefficients)),
+        }
+        for m in ranked.models
+    ]
+    lines = [f"criterion: {criterion}", f"{'rank':>4}  {'score':>14}  subset"]
+    lines += [f"{i:>4}  {m.score:>14.6g}  {m.subset.to_text()}"
+              for i, m in enumerate(ranked.models, start=1)]
+    return json.dumps(payload, indent=2) + "\n", "\n".join(lines) + "\n"
+
+
+def _write_select_inputs(tmp_path, names, rows, seed, zero_outcome=False):
+    """A CSV over ``names`` and outcome Y whose cells read back exactly, and its Dataset."""
+    import numpy as np
+
+    from ruledict.select import Dataset
+
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(rows, len(names)))
+    y = np.zeros(rows) if zero_outcome else X[:, 0] - 0.5 * X[:, -1] + rng.normal(size=rows)
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh)
+        out.writerow(names + ["Y"])
+        out.writerows([row + [target] for row, target in zip(X.tolist(), y.tolist())])
+    return str(path), Dataset(universe=make_universe(names), outcome="Y", X=X, y=y)
+
+
+class TestRankingWriter:
+    """Streamed ``select`` output is byte-identical to the list-of-dicts encoding."""
+
+    @pytest.mark.parametrize(
+        "names,text,criterion,extra,zero_outcome",
+        [
+            (ESCAPED_VARS, "select {1,2} of {A,B} or not select {1} of {C,D}", "bic", [], False),
+            (ESCAPED_VARS, "select {1,2} of {A,B} or not select {1} of {C,D}", "cv",
+             ["--folds", "4"], False),
+            (ESCAPED_VARS, "select {0,1} of {A,B}", "aic", [], True),
+            ("A,B,C,D", "select {0} of {A,B,C,D}", "adjr2", [], False),
+            ("A,B", "select {2} of {A,B}", "bic", [], False),
+        ],
+        ids=["escaped-names", "escaped-names-cv", "perfect-fit", "only-empty-subset", "single-model"],
+    )
+    def test_select(self, tmp_path, names, text, criterion, extra, zero_outcome):
+        data_path, data = _write_select_inputs(tmp_path, names.split(","), 40, 7, zero_outcome)
+        rule = tmp_path / "r.rule"
+        rule.write_text(text + "\n")
+        proc = run_cli("select", "--rule", str(rule), "--vars", names, "--data", data_path,
+                       "--outcome", "Y", "--criterion", criterion, *extra)
+        assert proc.returncode == 0, proc.stderr.decode()
+        D = eval_rule(data.universe, parse_rule(text, data.universe))
+        folds = int(extra[1]) if extra else None
+        out, err = _select_streams(data, D, criterion, folds=folds)
+        assert proc.stdout.decode() == out
+        assert proc.stderr.decode() == err
+        if zero_outcome:
+            assert '"score": "-inf"' in out and "-inf  {}" in err
+        if text.startswith("select {0} of"):
+            assert '"subset": [],' in out and '"coefficients": {}' in out
+
+    def test_several_write_batches(self, tmp_path, capsys):
+        from ruledict import cli
+        from ruledict.core import powerset
+
+        names = [f"v{i}" for i in range(11)] + ESCAPED_VARS.split(",")[-2:]
+        data_path, data = _write_select_inputs(tmp_path, names, 40, 8)
+        D = powerset(data.universe)
+        assert len(D) > cli._WRITE_BATCH
+        rule = tmp_path / "r.rule"
+        rule.write_text(f"select 0..11 of {{{','.join(names[:11])}}}\n")
+        code = cli.main(["select", "--rule", str(rule), "--vars", ",".join(names),
+                         "--data", data_path, "--outcome", "Y", "--criterion", "bic"])
+        assert code == 0
+        got = capsys.readouterr()
+        assert (got.out, got.err) == _select_streams(data, D, "bic")
+
+    def test_non_finite_numbers(self):
+        from ruledict import cli
+
+        for value in (float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 1e300, 5e-324):
+            assert cli._number(value) == json.dumps(value)
 
 
 class TestArgumentErrors:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ruledict.core import Dictionary, VarSet, make_universe, powerset
+from ruledict.core import BITMAP_MAX_VARS, Dictionary, VarSet, make_universe, powerset
 from ruledict.errors import (
     DatasetTooSmall,
     EmptyDictionary,
@@ -24,6 +24,7 @@ from ruledict.select import (
     select_best,
 )
 
+import oracles
 from oracles import normal_equations_fit
 
 
@@ -386,3 +387,95 @@ class TestSelectBest:
 
     def test_criteria_tuple(self):
         assert CRITERIA == ("aic", "bic", "adjr2", "cv")
+
+
+def _ranked_bits(ranked):
+    """Everything a ranking reports, floats compared with ==."""
+    return ranked.criterion, [
+        (m.subset.mask, m.score, m.intercept, m.coefficients) for m in ranked.models
+    ]
+
+
+def _seeded_dataset(u, rows, seed, order="view"):
+    """A dataset laid out as load_dataset makes it (X a view of one C-ordered block)."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(rows, u.size + 1))
+    data[:, 1:u.size] += 0.3 * data[:, : u.size - 1]
+    data[:, u.size] = data[:, : min(3, u.size)].sum(axis=1) + rng.normal(size=rows)
+    X = data[:, : u.size]
+    if order == "F":
+        X = np.asfortranarray(X)
+    return Dataset(universe=u, outcome="Y", X=X, y=data[:, u.size])
+
+
+RUNS = [("aic", None, None), ("bic", None, None), ("adjr2", None, None),
+        ("cv", 5, None), ("cv", 3, 20261018)]
+
+
+class TestMatchesFrozenReference:
+    """select_best is bit-identical to the one-design-per-model loop in tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_powerset_and_sparse(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(3, 9))
+        u = make_universe([f"x{i}" for i in range(p)])
+        d = _seeded_dataset(u, int(rng.integers(40, 400)), seed, "F" if seed == 5 else "view")
+        sparse = Dictionary.from_masks(u, rng.integers(0, 1 << p, 12).tolist())
+        for D in (powerset(u), sparse):
+            for criterion, folds, cv_seed in RUNS:
+                got = select_best(d, D, criterion, folds=folds, seed=cv_seed)
+                want = oracles.select_best(d, D, criterion, folds=folds, seed=cv_seed)
+                assert _ranked_bits(got) == _ranked_bits(want), (criterion, folds, cv_seed)
+
+    def test_mask_tuple_dictionary(self):
+        u = make_universe([f"v{i}" for i in range(23)])
+        assert u.size > BITMAP_MAX_VARS
+        rng = np.random.default_rng(23)
+        masks = [0, u.full_mask] + [
+            sum(1 << int(i) for i in rng.choice(23, int(rng.integers(1, 7)), replace=False))
+            for _ in range(30)
+        ]
+        D = Dictionary.from_masks(u, masks)
+        d = _seeded_dataset(u, 300, 23)
+        for criterion, folds, cv_seed in RUNS:
+            got = select_best(d, D, criterion, folds=folds, seed=cv_seed)
+            want = oracles.select_best(d, D, criterion, folds=folds, seed=cv_seed)
+            assert _ranked_bits(got) == _ranked_bits(want), (criterion, folds, cv_seed)
+
+    def test_benchmark_size_cv5(self):
+        u = make_universe([f"x{i}" for i in range(10)])
+        d = _seeded_dataset(u, 1000, 10)
+        got = select_best(d, powerset(u), "cv", folds=5)
+        assert _ranked_bits(got) == _ranked_bits(oracles.select_best(d, powerset(u), "cv", folds=5))
+
+    def test_fit_ols(self):
+        u = make_universe([f"x{i}" for i in range(6)])
+        d = _seeded_dataset(u, 90, 6)
+        for mask in range(1 << u.size):
+            s = VarSet(u, mask)
+            assert fit_ols(d, s) == oracles.fit_ols(d, s)
+
+    def _same_error(self, d, D, criterion, folds=None):
+        with pytest.raises(RankDeficient) as got:
+            select_best(d, D, criterion, folds=folds)
+        with pytest.raises(RankDeficient) as want:
+            oracles.select_best(d, D, criterion, folds=folds)
+        assert str(got.value) == str(want.value)
+        return str(got.value)
+
+    def test_collinear_full_fit(self, abc):
+        d = _seeded_dataset(abc, 50, 3)
+        d.X[:, 2] = 2.0 * d.X[:, 0]
+        for criterion, folds in (("bic", None), ("cv", 5)):
+            message = self._same_error(d, powerset(abc), criterion, folds)
+            assert message == "design for {A,C} has rank 2 < 3"
+
+    def test_collinear_on_a_training_fold_only(self, abc):
+        # C is zero outside the first block, so the first training fold has a
+        # zero column while the full data have full rank.
+        d = _seeded_dataset(abc, 50, 4)
+        d.X[10:, 2] = 0.0
+        select_best(d, powerset(abc), "bic")
+        message = self._same_error(d, powerset(abc), "cv", folds=5)
+        assert message == "training fold design for {C} is rank deficient"
