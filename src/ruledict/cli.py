@@ -85,17 +85,14 @@ def _error_tag(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
-def _emit(obj) -> None:
-    """Write ``json.dumps(obj, indent=2)`` and a newline to stdout.
+def _emit(obj: dict) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline to stdout, for a non-empty ``obj``.
 
-    The values of a top-level object are written one at a time, and
-    Dictionary values are streamed by :func:`_write_dictionary` instead
-    of being built as nested lists first.
+    The values are written one at a time, and Dictionary values are
+    streamed by :func:`_write_dictionary` instead of being built as
+    nested lists first.
     """
     write = sys.stdout.write
-    if not isinstance(obj, dict) or not obj:
-        write(json.dumps(obj, indent=2) + "\n")
-        return
     sep = "{"
     for key, value in obj.items():
         write(f"{sep}\n  {json.dumps(key)}: ")
