@@ -352,6 +352,10 @@ def _cmd_select(args) -> int:
     cap = _max_enum()
     u, expr = _load_rule(args.rule, args.vars)
     d = eval_rule(u, expr, max_entries=cap)
+    # Each fit is a solve of a few columns: a second OpenBLAS thread gains
+    # nothing on it and waits out any process that holds the other core.
+    # Read when numpy loads, so it holds unless numpy is already loaded.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # Module attributes, so numpy loads here, and a name that was rebound
     # (to time it, say) is called as rebound.
     this = sys.modules[__name__]
