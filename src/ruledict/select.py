@@ -10,7 +10,12 @@ bit-for-bit identical; shuffling is opt-in via a seed.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import mmap
+import os
+import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +51,15 @@ class Dataset:
         return self.y.shape[0]
 
 
+def _decoded_lines(fh, path):
+    """The lines of the text file ``fh``, with a decoding error raised as
+    a ParseError that names ``path``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_dataset(path, outcome: str, u: Universe) -> Dataset:
     """Read a CSV with a header row into a validated Dataset.
 
@@ -57,7 +71,7 @@ def load_dataset(path, outcome: str, u: Universe) -> Dataset:
         raise SchemaMismatch(f"outcome column {outcome!r} is also a covariate")
     # utf-8-sig drops the byte order mark that spreadsheet tools write.
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_decoded_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -244,6 +258,111 @@ def _cv_blocks(Z: np.ndarray, y: np.ndarray, folds: int, seed: int | None) -> li
     return blocks
 
 
+#: Models per chunk: the unit of work a process claims, and that this
+#: process re-runs when a worker does not deliver it.
+_CHUNK = 64
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
+def _single_threaded() -> bool:
+    """Whether the calling thread is the only one in this process, native
+    threads such as a BLAS pool included; False where ``/proc`` cannot say.
+
+    fork copies only the calling thread, and workers that each ran a BLAS
+    pool would contend for the same CPUs.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _claims(queue: int):
+    """Chunk indices read from the shared queue until it is empty.
+
+    Forked processes share the queue's file offset, and each 4-byte read
+    moves it on, so each index goes to one reader.
+    """
+    while len(claim := os.read(queue, 4)) == 4:
+        yield int.from_bytes(claim, "little")
+
+
+def _publish(shared: mmap.mmap, start: int, flat: list[float], done: int) -> None:
+    """Write a worker's results for one chunk at byte ``start``, then mark it done."""
+    struct.pack_into(f"{len(flat)}d", shared, start, *flat)
+    shared[done] = 1
+
+
+def _run_chunks(run, masks: tuple[int, ...]) -> list[float]:
+    """``run(masks)``, computed by chunks of :data:`_CHUNK` masks in forked workers.
+
+    ``run`` maps masks to a flat list of ``2 + popcount`` floats per mask.
+    One worker is forked per usable CPU beyond the first, and this
+    process claims chunks as well. Workers write exact floats into one
+    shared block, at places fixed by chunk index, and leave by
+    ``os._exit`` without writing to stdout or stderr. A chunk that no
+    worker delivered is run here, in mask order, so an error is the one
+    ``run(masks)`` raises. Without fork, with one usable CPU or chunk, or
+    while another thread runs in this process, this is ``run(masks)``.
+    """
+    chunks = [masks[i:i + _CHUNK] for i in range(0, len(masks), _CHUNK)]
+    procs = min(_usable_cpus(), len(chunks))
+    if (procs < 2 or not hasattr(os, "fork") or not hasattr(os, "memfd_create")
+            or not _single_threaded()):
+        return run(masks)
+    ends = list(itertools.accumulate(sum(2 + m.bit_count() for m in c) for c in chunks))
+    starts = [0, *ends[:-1]]
+    done_at = 8 * ends[-1]  # a done byte per chunk follows the floats
+    results: list[list[float] | None] = [None] * len(chunks)
+    with mmap.mmap(-1, done_at + len(chunks)) as shared:
+        queue = os.memfd_create("ruledict-chunks")
+        pids = []
+        try:
+            os.write(queue, b"".join(c.to_bytes(4, "little") for c in range(len(chunks))))
+            os.lseek(queue, 0, os.SEEK_SET)
+            sys.stdout.flush()
+            sys.stderr.flush()
+            for _ in range(procs - 1):
+                try:
+                    pid = os.fork()
+                except OSError:
+                    break  # no more processes: the ones running share the chunks
+                if pid == 0:
+                    try:
+                        for c in _claims(queue):
+                            _publish(shared, 8 * starts[c], run(chunks[c]), done_at + c)
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            for c in _claims(queue):
+                try:
+                    results[c] = run(chunks[c])
+                except Exception:
+                    break  # raised again below, unless an earlier chunk fails first
+        finally:
+            # Empty the queue, so each worker stops after its current chunk.
+            for _ in _claims(queue):
+                pass
+            os.close(queue)
+            for pid in pids:
+                os.waitpid(pid, 0)
+        flat = []
+        for c, chunk in enumerate(chunks):
+            if results[c] is None:
+                if shared[done_at + c]:
+                    count = ends[c] - starts[c]
+                    results[c] = list(struct.unpack_from(f"{count}d", shared, 8 * starts[c]))
+                else:
+                    results[c] = run(chunk)
+            flat += results[c]
+    return flat
+
+
 def select_best(
     d: Dataset,
     D: Dictionary,
@@ -257,8 +376,17 @@ def select_best(
     requires ``folds``; its score is the held-out squared error pooled
     over all rows, and the reported coefficients still come from the
     full-data fit. ``seed`` shuffles rows before blocking into folds;
-    ``folds`` and ``seed`` are errors for the other criteria.
-    Ties rank the smaller subset first, then canonical subset order.
+    ``folds`` and ``seed`` are errors for the other criteria, and
+    ``seed`` must be non-negative. Ties rank the smaller subset first,
+    then canonical subset order.
+
+    The models are fitted in chunks of :data:`_CHUNK` masks, shared
+    among this process and forked workers, one process per usable CPU,
+    while no other thread runs here. A BLAS thread pool counts as such a
+    thread, so the fits are forked out only when numpy was loaded with
+    one BLAS thread (``OPENBLAS_NUM_THREADS=1``, as the ``select``
+    command sets it). The ranking is the same bits on any CPU count, and
+    an error is the one the first failing model in mask order raises.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -269,6 +397,8 @@ def select_best(
             raise ValueError("folds must be at least 2")
         if folds > d.n:
             raise DatasetTooSmall(f"{folds} folds but only {d.n} rows")
+        if seed is not None and seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
     elif folds is not None or seed is not None:
         raise ValueError(f"folds and seed apply only to criterion 'cv', not {criterion!r}")
     if not D:
@@ -280,41 +410,56 @@ def select_best(
         raise SchemaMismatch("dictionary and dataset use different universes")
     u, n, y = d.universe, d.n, d.y
     Z, tss = _shared(d)
+    masks = D.masks()
     if criterion == "cv":
-        largest = max(m.bit_count() for m in D.masks())
+        largest = max(m.bit_count() for m in masks)
         min_train = n - max(end - start for start, end in _fold_bounds(n, folds))
         if largest + 1 > min_train:
             raise DatasetTooSmall(
                 f"training folds of {min_train} rows cannot fit {largest + 1} parameters"
             )
         blocks = _cv_blocks(Z, y, folds, seed)
+
+    def run(chunk: tuple[int, ...]) -> list[float]:
+        """Score, intercept and coefficients of each model of ``chunk``, in one flat list."""
+        flat = []
+        for mask in chunk:
+            subset = VarSet(u, mask)
+            cols = [0] + [i + 1 for i in range(u.size) if mask >> i & 1]
+            fit = _fit(Z, y, cols, subset, tss)
+            if criterion == "cv":
+                total = 0.0
+                for train_Z, train_y, test_Z, test_y in blocks:
+                    beta, _, rank, _ = np.linalg.lstsq(train_Z[:, cols], train_y, rcond=None)
+                    if rank < fit.k:
+                        raise RankDeficient(
+                            f"training fold design for {subset.to_text()} is rank deficient"
+                        )
+                    # take() keeps the held-out design C-ordered; the product's last
+                    # bits depend on that layout.
+                    err = test_y - test_Z.take(cols, axis=1) @ beta
+                    total += float(err @ err)
+                value = total / n
+            else:
+                value = score(fit, criterion, n)
+            flat.append(value)
+            flat.append(fit.intercept)
+            flat.extend(fit.coefficients)
+        return flat
+
+    flat = _run_chunks(run, masks)
     scored = []
-    for mask in D.masks():
-        subset = VarSet(u, mask)
-        cols = [0] + [i + 1 for i in range(u.size) if mask >> i & 1]
-        fit = _fit(Z, y, cols, subset, tss)
-        if criterion == "cv":
-            total = 0.0
-            for train_Z, train_y, test_Z, test_y in blocks:
-                beta, _, rank, _ = np.linalg.lstsq(train_Z[:, cols], train_y, rcond=None)
-                if rank < fit.k:
-                    raise RankDeficient(
-                        f"training fold design for {subset.to_text()} is rank deficient"
-                    )
-                # take() keeps the held-out design C-ordered; the product's last
-                # bits depend on that layout.
-                err = test_y - test_Z.take(cols, axis=1) @ beta
-                total += float(err @ err)
-            value = total / n
-        else:
-            value = score(fit, criterion, n)
+    start = 0
+    for mask in masks:
+        end = start + 2 + mask.bit_count()
         scored.append(
             ScoredModel(
-                subset=subset,
-                score=value,
-                intercept=fit.intercept,
-                coefficients=fit.coefficients,
+                subset=VarSet(u, mask),
+                score=flat[start],
+                intercept=flat[start + 1],
+                coefficients=tuple(flat[start + 2:end]),
             )
         )
+        start = end
     scored.sort(key=lambda m: (m.score, len(m.subset), m.subset.mask))
     return RankedModels(criterion=criterion, models=tuple(scored))

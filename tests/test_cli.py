@@ -537,6 +537,36 @@ class TestSelectCommand:
             assert proc.stdout == b""
             assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
 
+    def test_negative_seed_is_named(self):
+        proc = run_cli(
+            "select", "--rule", f"{RULES}/one_or_two.rule",
+            "--data", f"{DATA}/linear_abc.csv", "--outcome", "Y",
+            "--criterion", "cv", "--folds", "5", "--seed", "-3",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: seed must be non-negative, got -3\n"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call here")
+    def test_same_bytes_on_one_cpu(self, tmp_path):
+        from ruledict.select import _CHUNK
+
+        names = [f"x{i}" for i in range(9)]
+        data_path, _ = _write_select_inputs(tmp_path, names, 60, 9)
+        rule = tmp_path / "all.rule"
+        rule.write_text(f"vars: {', '.join(names)}\nselect 0..9 of {{{','.join(names)}}}\n")
+        argv = [sys.executable, "-m", "ruledict.cli", "select", "--rule", str(rule),
+                "--data", data_path, "--outcome", "Y", "--criterion", "cv", "--folds", "3"]
+        one_cpu = {min(os.sched_getaffinity(0))}
+        runs = [
+            subprocess.run(argv, capture_output=True, cwd=ROOT, env=_env(), preexec_fn=pin)
+            for pin in (None, lambda: os.sched_setaffinity(0, one_cpu))
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr.decode()[-600:]
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stderr == runs[1].stderr
+        assert len(json.loads(runs[0].stdout)) == 512 > 2 * _CHUNK
+
     def test_cv_without_folds(self):
         proc = run_cli(
             "select", "--rule", f"{RULES}/one_or_two.rule",
@@ -711,6 +741,9 @@ NUMPY_GUARD = textwrap.dedent(
     assert main("from-dict", "--dict", "fixtures/dicts/strong_heredity.dict",
                 "--vars", "A,B1,B2,AB1,AB2") == 0
     assert "numpy" not in sys.modules, "a command other than select imported numpy"
+    loaded = {"ruledict.select", "pickle", "mmap", "multiprocessing", "concurrent.futures",
+              "subprocess"} & set(sys.modules)
+    assert not loaded, f"commands other than select loaded {sorted(loaded)}"
 
     assert main("select", "--rule", f"{R}/one_or_two.rule", "--data", "fixtures/data/linear_abc.csv",
                 "--outcome", "Y", "--criterion", "bic") == 0

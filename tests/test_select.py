@@ -1,8 +1,15 @@
+import errno
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import ruledict.select
 from ruledict.core import BITMAP_MAX_VARS, Dictionary, VarSet, make_universe, powerset
 from ruledict.errors import (
     DatasetTooSmall,
@@ -126,6 +133,12 @@ class TestLoadDataset:
             load_dataset(path, "Y", abc)
         path = write_csv(tmp_path, "A,B,C,Y\n")
         with pytest.raises(DatasetTooSmall):
+            load_dataset(path, "Y", abc)
+
+    def test_not_utf8(self, tmp_path, abc):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"A,B,C,Y\n1,2,3,4\n5,6,\xff7,8\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8 text")):
             load_dataset(path, "Y", abc)
 
     def test_duplicate_header_uses_first(self, tmp_path, abc):
@@ -313,6 +326,8 @@ class TestSelectBest:
             select_best(d, powerset(abc), "cv")
         with pytest.raises(ValueError):
             select_best(d, powerset(abc), "cv", folds=1)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+            select_best(d, powerset(abc), "cv", folds=5, seed=-3)
 
     def test_cv_folds_exceed_rows(self, abc):
         d = linear_dataset(abc, n=10)
@@ -479,3 +494,146 @@ class TestMatchesFrozenReference:
         select_best(d, powerset(abc), "bic")
         message = self._same_error(d, powerset(abc), "cv", folds=5)
         assert message == "training fold design for {C} is rank deficient"
+
+
+@pytest.fixture
+def two_processes(monkeypatch):
+    """select_best shares the chunks with one forked worker, whatever the
+    CPU count and whatever BLAS thread pool this process runs."""
+    monkeypatch.setattr(ruledict.select, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ruledict.select, "_single_threaded", lambda: True)
+
+
+def _forbidden_fork():
+    raise AssertionError("os.fork was called")
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="workers need fork and memfd_create")
+class TestForkedWorkers:
+    """Chunks fitted by a forked worker give the frozen loop's ranking, bit for bit."""
+
+    @pytest.mark.parametrize("p", [10, 11])
+    def test_powerset_over_many_chunks(self, two_processes, p):
+        u = make_universe([f"x{i}" for i in range(p)])
+        d = _seeded_dataset(u, 60, p)
+        D = powerset(u)
+        assert len(D) >= 8 * ruledict.select._CHUNK
+        for criterion, folds, cv_seed in RUNS:
+            got = select_best(d, D, criterion, folds=folds, seed=cv_seed)
+            want = oracles.select_best(d, D, criterion, folds=folds, seed=cv_seed)
+            assert _ranked_bits(got) == _ranked_bits(want), (criterion, folds, cv_seed)
+        _assert_no_children()
+
+    def test_mask_tuple_dictionary(self, two_processes):
+        u = make_universe([f"v{i}" for i in range(23)])
+        rng = np.random.default_rng(29)
+        D = Dictionary.from_masks(u, [
+            sum(1 << int(i) for i in rng.choice(23, int(rng.integers(0, 8)), replace=False))
+            for _ in range(600)
+        ])
+        assert u.size > BITMAP_MAX_VARS and len(D) > 3 * ruledict.select._CHUNK
+        d = _seeded_dataset(u, 80, 29)
+        for criterion, folds, cv_seed in RUNS:
+            got = select_best(d, D, criterion, folds=folds, seed=cv_seed)
+            want = oracles.select_best(d, D, criterion, folds=folds, seed=cv_seed)
+            assert _ranked_bits(got) == _ranked_bits(want), (criterion, folds, cv_seed)
+        _assert_no_children()
+
+    def test_late_rank_deficiency_raises_the_serial_error(self, two_processes, capfd):
+        # Only the models holding both x8 and x9 are rank deficient; the
+        # first of them, mask 768, sits in a late chunk.
+        u = make_universe([f"x{i}" for i in range(10)])
+        d = _seeded_dataset(u, 60, 31)
+        d.X[:, 9] = 2.0 * d.X[:, 8]
+        assert 768 // ruledict.select._CHUNK > 1
+        for criterion, folds in (("bic", None), ("cv", 5)):
+            with pytest.raises(RankDeficient) as got:
+                select_best(d, powerset(u), criterion, folds=folds)
+            with pytest.raises(RankDeficient) as want:
+                oracles.select_best(d, powerset(u), criterion, folds=folds)
+            assert str(got.value) == str(want.value) == "design for {x8,x9} has rank 2 < 3"
+            _assert_no_children()
+        assert capfd.readouterr() == ("", "")
+
+    def test_undelivered_chunks_are_rerun(self, two_processes, monkeypatch):
+        # A worker leaves after fitting its first chunk, before writing it back.
+        monkeypatch.setattr(ruledict.select, "_publish", lambda *args: os._exit(0))
+        u = make_universe([f"x{i}" for i in range(10)])
+        d = _seeded_dataset(u, 60, 37)
+        for criterion, folds in (("aic", None), ("cv", 5)):
+            got = select_best(d, powerset(u), criterion, folds=folds)
+            want = oracles.select_best(d, powerset(u), criterion, folds=folds)
+            assert _ranked_bits(got) == _ranked_bits(want)
+            _assert_no_children()
+
+    def test_failed_fork_leaves_the_work_here(self, two_processes, monkeypatch):
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        u = make_universe([f"x{i}" for i in range(9)])
+        d = _seeded_dataset(u, 60, 41)
+        got = select_best(d, powerset(u), "bic")
+        assert _ranked_bits(got) == _ranked_bits(oracles.select_best(d, powerset(u), "bic"))
+
+
+class TestNoFork:
+    """Where a fork is not safe or cannot help, select_best never calls it."""
+
+    def test_one_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(ruledict.select, "_single_threaded", lambda: True)
+        monkeypatch.setattr(os, "fork", _forbidden_fork)
+        u = make_universe([f"x{i}" for i in range(9)])
+        d = _seeded_dataset(u, 60, 43)
+        got = select_best(d, powerset(u), "cv", folds=3)
+        assert _ranked_bits(got) == _ranked_bits(oracles.select_best(d, powerset(u), "cv", folds=3))
+
+    @pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="workers need fork and memfd_create")
+    def test_other_threads(self):
+        # A fresh interpreter forks a worker exactly when it runs one thread:
+        # with OPENBLAS_NUM_THREADS=1 it does, with a BLAS pool it does not,
+        # and a running Python thread stops the fork either way.
+        script = textwrap.dedent(
+            """
+            import os, threading
+            import numpy as np
+            import ruledict.select as S
+            from ruledict.core import make_universe, powerset
+
+            S._usable_cpus = lambda: 2
+            forks = []
+            fork = os.fork
+            os.fork = lambda: forks.append(1) or fork()
+            u = make_universe([f"x{i}" for i in range(8)])
+            rng = np.random.default_rng(5)
+            d = S.Dataset(u, "Y", rng.normal(size=(40, 8)), rng.normal(size=40))
+            tasks = len(os.listdir("/proc/self/task"))
+            S.select_best(d, powerset(u), "bic")
+            first = len(forks)
+            stop = threading.Event()
+            waiter = threading.Thread(target=stop.wait, args=(30,))
+            waiter.start()
+            S.select_best(d, powerset(u), "bic")
+            stop.set()
+            waiter.join(timeout=30)
+            print(tasks, first, len(forks), waiter.is_alive())
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        seen = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()[-600:]
+            tasks, first, total, alive = proc.stdout.split()
+            assert int(first) == (tasks == b"1"), (threads, proc.stdout)
+            assert (total, alive) == (first, b"False"), (threads, proc.stdout)
+            seen.add(tasks == b"1")
+        assert True in seen, "no interpreter ran with a single thread"
