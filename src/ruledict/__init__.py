@@ -7,7 +7,7 @@ for a penalised estimator or hand it to the best-subset OLS selector.
 
 Only that selector needs numpy, so its module, :mod:`ruledict.select`,
 is imported on first use of one of its names rather than with the
-package.
+package. So is :mod:`ruledict.grouping`, which evaluation does not need.
 """
 
 import importlib
@@ -47,17 +47,6 @@ from .errors import (
     UnsupportedForEquivalence,
     UseClosureInstead,
 )
-from .grouping import (
-    CongruenceReport,
-    GroupingStructure,
-    Method,
-    check_compatibility,
-    check_log_congruence,
-    check_ogl_necessary,
-    method_rule,
-    synthesize_log_grouping,
-    union_closure,
-)
 from .rules import (
     And,
     Implies,
@@ -83,26 +72,25 @@ from .rules import (
 
 __version__ = "0.1.0"
 
-#: Names taken from ``.select``, imported with it on first access.
-_SELECT_NAMES = (
-    "Dataset",
-    "FitResult",
-    "RankedModels",
-    "ScoredModel",
-    "fit_ols",
-    "load_dataset",
-    "score",
-    "select_best",
-)
+#: The names of each module imported on first use of it or of one of
+#: its names (PEP 562).
+_LAZY = {
+    "grouping": ("CongruenceReport", "GroupingStructure", "Method", "check_compatibility",
+                 "check_log_congruence", "check_ogl_necessary", "method_rule",
+                 "synthesize_log_grouping", "union_closure"),
+    "select": ("Dataset", "FitResult", "RankedModels", "ScoredModel", "fit_ols",
+               "load_dataset", "score", "select_best"),
+}
 
 
 def __getattr__(name: str):
-    """Import ``.select`` (and numpy) when it or one of its names is first used (PEP 562)."""
-    if name != "select" and name not in _SELECT_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    select = importlib.import_module(".select", __name__)
-    globals().update({n: getattr(select, n) for n in _SELECT_NAMES})
-    return select if name == "select" else globals()[name]
+    """Import a module of :data:`_LAZY` when it or one of its names is first used."""
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = importlib.import_module("." + module, __name__)
+            globals().update({n: getattr(loaded, n) for n in names})
+            return loaded if name == module else globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -36,17 +36,12 @@ from .errors import (
     EmptyDictionary,
     IncompatibleGrouping,
     InvalidStageResult,
+    ParseError,
     RankDeficient,
     RuledictError,
     SynthesisFailure,
     Underdetermined,
     UseClosureInstead,
-)
-from .grouping import (
-    GroupingStructure,
-    check_log_congruence,
-    check_ogl_necessary,
-    synthesize_log_grouping,
 )
 from .rules import (
     StageResult,
@@ -69,15 +64,23 @@ _DOMAIN_ERRORS = (
 )
 
 
-def __getattr__(name: str):
-    """``load_dataset`` and ``select_best``, bound from ``.select`` on first access (PEP 562).
+#: Names bound on first access from the modules only some commands use
+#: (PEP 562): ``.grouping`` for ``check`` and ``synthesize``, and
+#: ``.select``, which imports numpy, for ``select``.
+_LAZY = {
+    ".grouping": ("GroupingStructure", "check_log_congruence", "check_ogl_necessary",
+                  "synthesize_log_grouping"),
+    ".select": ("load_dataset", "select_best"),
+}
 
-    ``.select`` imports numpy, which no other command needs.
-    """
-    if name not in ("load_dataset", "select_best"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(".select", __package__), name)
-    return value
+
+def __getattr__(name: str):
+    """Bind ``name`` from its module of :data:`_LAZY`, importing that module."""
+    for module, names in _LAZY.items():
+        if name in names:
+            value = globals()[name] = getattr(importlib.import_module(module, __package__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _error_tag(exc: Exception) -> str:
@@ -213,8 +216,12 @@ def _parse_vars(spec: str | None) -> Universe | None:
 
 def _read(path: str):
     """The text of ``path``, or its decoded JSON when it is named *.json."""
-    with open(path) as fh:
-        text = fh.read()
+    # utf-8-sig drops a byte order mark, as load_dataset does for CSV.
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not path.endswith(".json"):
         return text
     try:
@@ -314,12 +321,14 @@ def _cmd_equiv(args) -> int:
 def _cmd_check(args) -> int:
     cap = _max_enum()
     u, expr = _load_rule(args.rule, args.vars)
-    g = _load_family(args.grouping, u, GroupingStructure, "groups")
+    # Module attributes, so .grouping loads here (see _cmd_select).
+    this = sys.modules[__name__]
+    g = _load_family(args.grouping, u, this.GroupingStructure, "groups")
     d = eval_rule(u, expr, max_entries=cap)
     if args.method == "log":
-        report = check_log_congruence(d, g, max_entries=cap)
+        report = this.check_log_congruence(d, g, max_entries=cap)
     else:
-        report = check_ogl_necessary(d, g, max_entries=cap)
+        report = this.check_ogl_necessary(d, g, max_entries=cap)
     payload = {
         "method": args.method,
         "congruent": report.congruent,
@@ -337,7 +346,7 @@ def _cmd_synthesize(args) -> int:
     cap = _max_enum()
     u, expr = _load_rule(args.rule, args.vars)
     d = eval_rule(u, expr, max_entries=cap)
-    g = synthesize_log_grouping(d)
+    g = sys.modules[__name__].synthesize_log_grouping(d)  # loads .grouping
     _emit(
         {
             "universe": list(u.names),

@@ -15,10 +15,9 @@ All types are immutable; operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, combinations
-from operator import or_
+from operator import attrgetter, or_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -44,10 +43,72 @@ DEFAULT_MAX_ENUM = 2 ** 20
 BITMAP_MAX_VARS = 20
 
 
-@dataclass(frozen=True, slots=True)
-class Universe:
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in ``__slots__`` (a slot named ``_...`` is
+    not a field) and may give defaults for trailing fields in ``_defaults``.
+    A record is built from positional or keyword values, checked by
+    ``__post_init__``, equal only to a record of its own class with the same
+    field tuple, hashed as that tuple, and pickled as its field values.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        own = [name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_")]
+        cls._fields = fields = cls._fields + tuple(own)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+        if fields:  # attrgetter gives a tuple for two or more names only
+            get = attrgetter(*fields)
+            cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of ``cls(*args, **kwargs)``, in field order."""
+        given = dict(zip(cls._fields, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if len(args) > len(cls._fields) or given.keys() & kwargs or values.keys() != set(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {cls._fields}, got {args} and {kwargs}")
+        return tuple([values[name] for name in cls._fields])
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Universe(Record):
     """An ordered, immutable set of covariate names with stable indices."""
 
+    __slots__ = ("names",)
     names: tuple[str, ...]
 
     @property
@@ -106,14 +167,18 @@ def make_universe(names: Iterable[str]) -> Universe:
     return Universe(frozen)
 
 
-@dataclass(frozen=True, slots=True)
-class VarSet:
+class VarSet(Record):
     """One subset of a universe's covariates, as a bit mask."""
 
+    __slots__ = ("universe", "mask")
     universe: Universe
     mask: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, universe: Universe, mask: int) -> None:
+        # Written out, checks included: a VarSet is built for each entry and each model.
+        set_universe, set_mask = self._setters
+        set_universe(self, universe)
+        set_mask(self, mask)
         if self.mask < 0 or self.mask >> self.universe.size:
             raise UnknownVariable(
                 f"mask {self.mask:#x} has bits outside the {self.universe.size}-covariate universe"
@@ -441,10 +506,10 @@ def parse_braced_names(universe: Universe, text: str, where: str = "") -> VarSet
     return VarSet.of_names(universe, names)
 
 
-@dataclass(frozen=True, slots=True)
-class ConstraintSet:
+class ConstraintSet(Record):
     """The allowed selection counts of a unit rule."""
 
+    __slots__ = ("counts",)
     counts: frozenset[int]
 
     def __post_init__(self) -> None:

@@ -13,7 +13,6 @@ group penalties.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import reduce
 
 from .core import (
@@ -21,6 +20,7 @@ from .core import (
     DEFAULT_MAX_ENUM,
     ConstraintSet,
     Dictionary,
+    Record,
     Universe,
     VarSet,
     _bit_positions,
@@ -37,10 +37,10 @@ from .errors import (
 from .rules import And, RuleExpr, Unit, UnitRule
 
 
-@dataclass(frozen=True)
-class GroupingStructure:
+class GroupingStructure(Record):
     """Non-empty groups of covariates whose union is the whole universe."""
 
+    __slots__ = ("universe", "groups")
     universe: Universe
     groups: tuple[VarSet, ...]
 
@@ -161,8 +161,7 @@ def union_closure(g: GroupingStructure, max_entries: int = DEFAULT_MAX_ENUM) -> 
     return Dictionary._of(u, reached) if bitmap else Dictionary.from_masks(u, reached)
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(Record):
     """Outcome of comparing a dictionary against a grouping's pattern family.
 
     ``missing`` holds dictionary entries the family cannot produce;
@@ -171,11 +170,13 @@ class CongruenceReport:
     check, which compares complements rather than the closure itself.
     """
 
+    __slots__ = ("congruent", "missing", "extra", "rule_family", "method_family")
+    _defaults = {"rule_family": None, "method_family": None}
     congruent: bool
     missing: Dictionary
     extra: Dictionary
-    rule_family: Dictionary | None = field(default=None)
-    method_family: Dictionary | None = field(default=None)
+    rule_family: Dictionary | None
+    method_family: Dictionary | None
 
 
 def check_log_congruence(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterator, Mapping
 
@@ -25,6 +24,7 @@ from .core import (
     ConstraintSet,
     DEFAULT_MAX_ENUM,
     Dictionary,
+    Record,
     Universe,
     VarSet,
     dictionary_support,
@@ -49,10 +49,10 @@ class SequentialScopeWarning(UserWarning):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class UnitRule:
+class UnitRule(Record):
     """Atomic rule: the number of selected covariates in ``scope`` must lie in ``constraint``."""
 
+    __slots__ = ("scope", "constraint")
     scope: VarSet
     constraint: ConstraintSet
 
@@ -62,7 +62,7 @@ def is_coherent(rule: UnitRule) -> bool:
     return rule.constraint.max <= len(rule.scope)
 
 
-class RuleExpr:
+class RuleExpr(Record):
     """Base class for rule expression nodes.
 
     Each node type has a fixed number of children, so the pre-order
@@ -92,7 +92,7 @@ class RuleExpr:
         return _fold(self, lambda n: () if hasattr(n, "_hash") else _children(n), visit)
 
     def __repr__(self):
-        # The dataclass text, Not(child=Unit(rule=UnitRule(...))), written
+        # The record text, Not(child=Unit(rule=UnitRule(...))), written
         # in order: _fold takes a node's children before visiting any of
         # them and visits the node after all of them, so the opening text
         # goes out from ``opening``, the ")" from ``closing``, and the
@@ -129,20 +129,20 @@ class RuleExpr:
         return _from_postorder, (tuple(flat),)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Unit(RuleExpr):
+    __slots__ = ("rule",)
     rule: UnitRule
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(RuleExpr):
+    __slots__ = ("child",)
     child: RuleExpr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class _Binary(RuleExpr):
     """A node with two operands; the subclass names the operation."""
 
+    __slots__ = ("left", "right")
     left: RuleExpr
     right: RuleExpr
 
@@ -230,10 +230,10 @@ def _from_postorder(flat: tuple) -> RuleExpr:
     return stack[0]
 
 
-@dataclass(frozen=True, slots=True)
-class StageResult:
+class StageResult(Record):
     """The subset actually chosen when the first stage of a sequential rule ran."""
 
+    __slots__ = ("chosen",)
     chosen: VarSet
 
 

@@ -16,11 +16,10 @@ import mmap
 import os
 import struct
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dictionary, Universe, VarSet
+from .core import Dictionary, Record, Universe, VarSet
 from .errors import (
     ConstantOutcome,
     DatasetTooSmall,
@@ -37,10 +36,11 @@ CRITERIA = ("aic", "bic", "adjr2", "cv")
 _MISSING_TOKENS = {"", "na", "nan", "n/a", "null", "none"}
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(Record):
     """Numeric design data: one column per universe variable plus an outcome."""
 
+    __slots__ = ("universe", "outcome", "X", "y")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity: == on arrays is elementwise
     universe: Universe
     outcome: str
     X: np.ndarray
@@ -127,10 +127,10 @@ def load_dataset(path, outcome: str, u: Universe) -> Dataset:
     return Dataset(universe=u, outcome=outcome, X=data[:, : u.size], y=data[:, u.size])
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """One OLS fit: subset, intercept-first coefficients, and fit sums."""
 
+    __slots__ = ("subset", "intercept", "coefficients", "rss", "tss", "k")
     subset: VarSet
     intercept: float
     coefficients: tuple[float, ...]  # aligned with sorted(subset) names
@@ -159,14 +159,8 @@ def _fit(Z: np.ndarray, y: np.ndarray, cols: list[int], s: VarSet, tss: float) -
         raise RankDeficient(f"design for {s.to_text()} has rank {rank} < {k}")
     resid = y - design @ beta
     coefficients = beta.tolist()
-    return FitResult(
-        subset=s,
-        intercept=coefficients[0],
-        coefficients=tuple(coefficients[1:]),
-        rss=float(resid @ resid),
-        tss=tss,
-        k=k,
-    )
+    # By position (subset, intercept, coefficients, rss, tss, k): binding keywords costs more.
+    return FitResult(s, coefficients[0], tuple(coefficients[1:]), float(resid @ resid), tss, k)
 
 
 def _shared(d: Dataset) -> tuple[np.ndarray, float]:
@@ -212,18 +206,18 @@ def score(f: FitResult, criterion: str, n: int) -> float:
     return -adjusted
 
 
-@dataclass(frozen=True)
-class ScoredModel:
+class ScoredModel(Record):
+    __slots__ = ("subset", "score", "intercept", "coefficients")
     subset: VarSet
     score: float
     intercept: float
     coefficients: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class RankedModels:
+class RankedModels(Record):
     """All fitted models for one run, best first."""
 
+    __slots__ = ("criterion", "models")
     criterion: str
     models: tuple[ScoredModel, ...]
 
@@ -452,14 +446,9 @@ def select_best(
     start = 0
     for mask in masks:
         end = start + 2 + mask.bit_count()
-        scored.append(
-            ScoredModel(
-                subset=VarSet(u, mask),
-                score=flat[start],
-                intercept=flat[start + 1],
-                coefficients=tuple(flat[start + 2:end]),
-            )
-        )
+        # By position, as in _fit: subset, score, intercept, coefficients.
+        scored.append(ScoredModel(VarSet(u, mask), flat[start], flat[start + 1],
+                                  tuple(flat[start + 2:end])))
         start = end
     scored.sort(key=lambda m: (m.score, len(m.subset), m.subset.mask))
     return RankedModels(criterion=criterion, models=tuple(scored))

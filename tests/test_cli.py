@@ -296,6 +296,49 @@ class TestMalformedRuleJson:
         assert proc.stderr.count(b"\n") == 1
 
 
+class TestInputEncoding:
+    """Rule, grouping and dictionary files are read as UTF-8, a byte order mark dropped."""
+
+    # argv with FILE for the input under test, and that input's fixture
+    CASES = {
+        "rule": (["dict", "--rule", "FILE"], f"{RULES}/strong_heredity.rule"),
+        "rule-json": (["dict", "--rule", "FILE"], f"{RULES}/strong_heredity.rule.json"),
+        "grouping": (["check", "--rule", f"{RULES}/strong_heredity.rule", "--grouping", "FILE",
+                      "--method", "log"], f"{GROUPS}/strong_heredity.groups"),
+        "dict": (["from-dict", "--dict", "FILE", "--vars", "A,B1,B2,AB1,AB2"],
+                 f"{DICTS}/strong_heredity.dict"),
+        "dict-json": (["from-dict", "--dict", "FILE", "--vars", "A,B1,B2,AB1,AB2"],
+                      f"{GOLDEN}/strong_heredity.dict.json"),
+    }
+
+    def _run(self, case, path):
+        argv, _ = self.CASES[case]
+        return run_cli(*[str(path) if arg == "FILE" else arg for arg in argv])
+
+    def _copy(self, tmp_path, case, prefix=b"", suffix=b""):
+        fixture = self.CASES[case][1]
+        with open(os.path.join(ROOT, fixture), "rb") as fh:
+            text = fh.read()
+        path = tmp_path / os.path.basename(fixture)
+        path.write_bytes(prefix + text + suffix)
+        return path
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_byte_order_mark_is_dropped(self, tmp_path, case):
+        plain = self._run(case, self.CASES[case][1])
+        with_bom = self._run(case, self._copy(tmp_path, case, prefix=b"\xef\xbb\xbf"))
+        assert with_bom.returncode == plain.returncode == 0, with_bom.stderr.decode()
+        assert with_bom.stdout == plain.stdout
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_undecodable_byte_is_one_error_line(self, tmp_path, case):
+        path = self._copy(tmp_path, case, suffix=b"\xff\n")
+        proc = self._run(case, path)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == f"error: {path}: not UTF-8 text (invalid start byte)\n".encode()
+
+
 def _dict_stdout(u, text, stage_specs=()):
     """What ``dict`` must print, built from the library and ``json.dumps``."""
     expr = parse_rule(text, u)
@@ -720,36 +763,49 @@ class TestArgumentErrors:
         assert run_cli("dict").returncode == 2
 
 
-NUMPY_GUARD = textwrap.dedent(
+IMPORT_GUARD = textwrap.dedent(
     """
     import contextlib, io, sys
     import ruledict.cli
 
     def main(*argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return ruledict.cli.main(list(argv))
+            assert ruledict.cli.main(list(argv)) == 0, argv
+        return argv
 
+    def absent(argv, *modules):
+        loaded = sorted(set(modules) & set(sys.modules))
+        assert not loaded, f"{' '.join(argv)} loaded {loaded}"
+
+    # Loaded by select alone, or by no command at all.
+    SELECT_ONLY = ("numpy", "ruledict.select", "pickle", "mmap", "multiprocessing",
+                   "concurrent.futures", "subprocess")
+    NEVER = ("dataclasses", "inspect")
     R, G = "fixtures/rules", "fixtures/groupings"
-    assert main("dict", "--rule", f"{R}/strong_heredity.rule") == 0
-    assert main("dict", "--rule", f"{R}/sparse_groups.rule", "--stage", "{A,B}") == 0
-    assert main("equiv", "--rule", f"{R}/one_or_two.rule", "--rule2", f"{R}/one_or_two_alt.rule") == 0
-    assert main("check", "--rule", f"{R}/strong_heredity.rule",
-                "--grouping", f"{G}/strong_heredity.groups", "--method", "log") == 0
-    assert main("check", "--rule", f"{R}/group_pairs.rule",
-                "--grouping", f"{G}/pairs.groups", "--method", "ogl") == 0
-    assert main("synthesize", "--rule", f"{R}/strong_heredity.rule") == 0
-    assert main("from-dict", "--dict", "fixtures/dicts/strong_heredity.dict",
-                "--vars", "A,B1,B2,AB1,AB2") == 0
-    assert "numpy" not in sys.modules, "a command other than select imported numpy"
-    loaded = {"ruledict.select", "pickle", "mmap", "multiprocessing", "concurrent.futures",
-              "subprocess"} & set(sys.modules)
-    assert not loaded, f"commands other than select loaded {sorted(loaded)}"
+    for argv in [
+        ("dict", "--rule", f"{R}/strong_heredity.rule"),
+        ("dict", "--rule", f"{R}/sparse_groups.rule", "--stage", "{A,B}"),
+        ("equiv", "--rule", f"{R}/one_or_two.rule", "--rule2", f"{R}/one_or_two_alt.rule"),
+        ("from-dict", "--dict", "fixtures/dicts/strong_heredity.dict", "--vars", "A,B1,B2,AB1,AB2"),
+    ]:
+        absent(main(*argv), "ruledict.grouping", *SELECT_ONLY, *NEVER)
+    for argv in [
+        ("check", "--rule", f"{R}/strong_heredity.rule",
+         "--grouping", f"{G}/strong_heredity.groups", "--method", "log"),
+        ("check", "--rule", f"{R}/group_pairs.rule", "--grouping", f"{G}/pairs.groups", "--method", "ogl"),
+        ("synthesize", "--rule", f"{R}/strong_heredity.rule"),
+    ]:
+        absent(main(*argv), *SELECT_ONLY, *NEVER)
+    assert "ruledict.grouping" in sys.modules
 
-    assert main("select", "--rule", f"{R}/one_or_two.rule", "--data", "fixtures/data/linear_abc.csv",
-                "--outcome", "Y", "--criterion", "bic") == 0
+    argv = main("select", "--rule", f"{R}/one_or_two.rule", "--data", "fixtures/data/linear_abc.csv",
+                "--outcome", "Y", "--criterion", "bic")
     assert "numpy" in sys.modules
+    absent(argv, "dataclasses")
     import ruledict
     assert ruledict.select_best is ruledict.select.select_best
+    assert "GroupingStructure" not in vars(ruledict)
+    assert ruledict.GroupingStructure is ruledict.grouping.GroupingStructure
     names = {}
     exec("from ruledict import *", names)
     assert set(ruledict.__all__) <= set(names), set(ruledict.__all__) - set(names)
@@ -765,6 +821,6 @@ NUMPY_GUARD = textwrap.dedent(
 
 
 def test_only_select_imports_numpy():
-    proc = subprocess.run([sys.executable, "-c", NUMPY_GUARD], capture_output=True, cwd=ROOT, env=_env())
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], capture_output=True, cwd=ROOT, env=_env())
     assert proc.returncode == 0, proc.stderr.decode()[-600:]
     assert proc.stdout == b"ok\n"
