@@ -4,10 +4,11 @@ A :class:`Universe` fixes an ordered list of covariate names. A
 :class:`VarSet` is one subset of those covariates, stored as a bit mask
 keyed by universe index (index 0 is the least significant bit). A
 :class:`Dictionary` is a deduplicated family of VarSets kept in canonical
-order: ascending by the integer value of the mask. It is stored as a
-bitmap over all ``2**n`` masks, or as a sorted mask tuple over more than
-:data:`BITMAP_MAX_VARS` covariates. Canonical order keeps every
-serialized form bit-stable across runs.
+order: ascending by the integer value of the mask, which keeps every
+serialized form bit-stable across runs. It is stored as a bitmap over
+all ``2**n`` masks, or as a sorted mask tuple over more than
+:data:`BITMAP_MAX_VARS` covariates. Only this module knows the storage:
+other modules work through the Dictionary methods.
 
 All types are immutable; operations are pure functions.
 """
@@ -266,11 +267,12 @@ class Dictionary:
     admitted, so set algebra is integer bit algebra. Over a larger
     universe the family is a sorted tuple of masks, since there the map
     costs more than it saves. The choice depends on the universe size
-    alone. ``masks()``, ``entries``, iteration and the byte view that
-    membership tests index are built on first use.
+    alone. ``masks()``, ``entries``, iteration and the lookup view are
+    built on first use: the bitmap's bytes, which membership tests index,
+    or the set of a tuple's masks, which the union checks probe.
     """
 
-    __slots__ = ("universe", "_data", "_masks", "_entries", "_bytes")
+    __slots__ = ("universe", "_data", "_masks", "_entries", "_lookup")
 
     def __init__(self, universe: Universe, entries: Iterable[VarSet] = ()):
         self._set(universe, _pack(universe, (v.mask for v in entries)))
@@ -280,7 +282,7 @@ class Dictionary:
         self._data = data
         self._masks = None
         self._entries = None
-        self._bytes = None
+        self._lookup = None
 
     @classmethod
     def _of(cls, universe: Universe, data) -> "Dictionary":
@@ -355,18 +357,28 @@ class Dictionary:
     def __len__(self) -> int:
         return self._data.bit_count() if self._bitmap else len(self._data)
 
+    def __bool__(self) -> bool:
+        return bool(self._data)
+
     def __iter__(self) -> Iterator[VarSet]:
         return iter(self.entries)
 
     def __contains__(self, v: VarSet) -> bool:
         if self._bitmap:
             # Shifting the int would cost O(2**n) per test; a byte lookup is O(1).
-            if self._bytes is None:
-                self._bytes = self._data.to_bytes(((1 << self.universe.size) + 7) // 8, "little")
+            if self._lookup is None:
+                self._lookup = self._data.to_bytes(((1 << self.universe.size) + 7) // 8, "little")
             byte = v.mask >> 3
-            return byte < len(self._bytes) and bool(self._bytes[byte] >> (v.mask & 7) & 1)
+            return byte < len(self._lookup) and bool(self._lookup[byte] >> (v.mask & 7) & 1)
+        # Bisection spares a one-off test on a large tuple the lookup set.
         i = bisect_left(self._data, v.mask)
         return i < len(self._data) and self._data[i] == v.mask
+
+    def _mask_set(self) -> set[int]:
+        """A mask tuple's masks as a set, kept as its lookup view."""
+        if self._lookup is None:
+            self._lookup = set(self._data)
+        return self._lookup
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dictionary):
@@ -402,6 +414,85 @@ class Dictionary:
             return Dictionary._of(self.universe, self._data & ~other._data)
         drop = set(other._data)
         return Dictionary._of(self.universe, tuple(m for m in self._data if m not in drop))
+
+    def joined(self, mask: int) -> "Dictionary":
+        """Every entry with the bits of ``mask`` set.
+
+        On a bitmap, setting bit ``i`` moves the entries without it up by ``2**i``.
+        """
+        if not self._bitmap:
+            return Dictionary._of(self.universe, tuple(sorted({m | mask for m in self._data})))
+        planes = var_planes(self.universe.size)
+        bits = self._data
+        for i in _bit_positions(mask):
+            bits = (bits & planes[i]) | ((bits & ~planes[i]) << (1 << i))
+        return Dictionary._of(self.universe, bits)
+
+    def unjoinable(self, a: int) -> "Dictionary":
+        """The entries ``b`` for which ``a | b`` is not an entry.
+
+        On a bitmap, bit ``b`` of the family projected onto the supersets
+        of ``a`` is bit ``a | b`` of the family: one step per bit of ``a``.
+        """
+        if not self._bitmap:
+            present = self._mask_set()
+            return Dictionary._of(self.universe, tuple(b for b in self._data if a | b not in present))
+        planes = var_planes(self.universe.size)
+        proj = self._data
+        for i in _bit_positions(a):
+            upper = proj & planes[i]
+            proj = upper | (upper >> (1 << i))
+        return Dictionary._of(self.universe, self._data & ~proj)
+
+    def complements(self) -> "Dictionary":
+        """The complement of every entry within the universe."""
+        u = self.universe
+        if not self._bitmap:  # complementing reverses mask order
+            return Dictionary._of(u, tuple(u.full_mask ^ m for m in reversed(self._data)))
+        # Mask m maps to 2**n - 1 - m: the 2**n-bit map read backwards.
+        width, size = 1 << u.size, ((1 << u.size) + 7) // 8
+        reverse = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+        flipped = int.from_bytes(self._data.to_bytes(size, "big").translate(reverse), "little")
+        return Dictionary._of(u, flipped >> (8 * size - width))
+
+    def union_generators(self) -> "Dictionary | None":
+        """The union-irreducible entries, or ``None`` when the family is not union-closed.
+
+        A union-closed family holds the empty union; its entries that are
+        not the union of the entries strictly inside them (all smaller
+        masks) are its unique minimal generators. A mask tuple is tested
+        pair by pair. On a bitmap, for each variable ``j``, the up-closure
+        ``up`` of the entries containing ``j`` marks the masks m whose
+        union U(m) of entries inside m contains ``j``; the family is
+        union-closed when its members are the fixed points U(m) = m.
+        Shifting ``up`` one variable further marks the masks with an entry
+        strictly inside them that contains ``j``, and an entry is
+        irreducible when some variable of it is in no entry strictly
+        inside it: subset zeta transforms, about 2n^2 operations on
+        ``2**n``-bit ints.
+        """
+        u, data = self.universe, self._data
+        if not self._bitmap:
+            present = self._mask_set()
+            if 0 not in present or any(a | b not in present for a, b in combinations(data, 2)):
+                return None
+            return Dictionary._of(u, tuple(
+                m for j, m in enumerate(data) if reduce(or_, (o for o in data[:j] if not o & ~m), 0) != m
+            ))
+        planes = var_planes(u.size)
+        steps = [(~p, 1 << i) for i, p in enumerate(planes)]
+        fixed = (1 << (1 << u.size)) - 1
+        exposed = 0
+        for plane in planes:
+            up = data & plane
+            for outside, shift in steps:
+                up |= (up & outside) << shift
+            fixed &= ~(up ^ plane)
+            below = 0
+            for outside, shift in steps:
+                below |= (up & outside) << shift
+            exposed |= plane & ~below
+        return Dictionary._of(u, data & exposed) if fixed == data else None
 
     def within(self, v: VarSet) -> "Dictionary":
         """Entries that are subsets of ``v``."""
@@ -442,7 +533,12 @@ class Dictionary:
         return cls.from_masks(universe, masks)
 
     @classmethod
-    def from_json_obj(cls, universe: Universe, obj: list[list[str]]) -> "Dictionary":
+    def from_json_obj(cls, universe: Universe, obj) -> "Dictionary":
+        """Parse what :meth:`to_json_obj` writes; anything but arrays of names is a ParseError."""
+        if not isinstance(obj, list) or not all(
+            isinstance(e, list) and all(isinstance(name, str) for name in e) for e in obj
+        ):
+            raise ParseError("dictionary JSON must be an array of name arrays")
         return cls(universe, (VarSet.of_names(universe, e) for e in obj))
 
     def __repr__(self) -> str:

@@ -3,11 +3,13 @@
 A grouping structure is a family of non-empty covariate groups covering
 the universe. Penalised estimators built from groups can only realise
 certain selection patterns; this module checks whether a dictionary is
-exactly the pattern family of a grouping (for the latent overlapping
-style), whether a weaker necessary condition holds (for the plain
-overlapping style), synthesises a grouping from a dictionary when one
-exists, and produces the equivalent selection rule for the classical
-group penalties.
+exactly the pattern family of a grouping (latent overlapping style),
+whether a weaker necessary condition holds (plain overlapping style),
+synthesises a grouping from a dictionary when one exists, and gives the
+equivalent selection rule for the classical group penalties. One code
+path serves every dictionary: joining a group, complements, the union
+test and the generators are :class:`~ruledict.core.Dictionary` methods,
+and how a dictionary is stored is known to :mod:`ruledict.core` alone.
 """
 
 from __future__ import annotations
@@ -16,16 +18,13 @@ import enum
 from functools import reduce
 
 from .core import (
-    BITMAP_MAX_VARS,
     DEFAULT_MAX_ENUM,
     ConstraintSet,
     Dictionary,
     Record,
     Universe,
     VarSet,
-    _bit_positions,
     parse_braced_names,
-    var_planes,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -138,27 +137,15 @@ _METHOD_PENALTY = {
 def union_closure(g: GroupingStructure, max_entries: int = DEFAULT_MAX_ENUM) -> Dictionary:
     """All unions of subfamilies of the groups, including the empty union.
 
-    Computed in one pass over the groups: after each group, the reached
-    unions are those of the groups so far. Bounded by the number of
-    distinct unions rather than the 2^m subfamilies. On a bitmap, adding
-    a group forces its bits into every reached mask: for each member
-    ``i``, the masks without ``i`` move up by ``2**i``.
+    One pass joins each group onto every union reached so far, so the cost
+    is bounded by the number of distinct unions, not the 2^m subfamilies.
     """
-    u = g.universe
-    bitmap = u.size <= BITMAP_MAX_VARS
-    planes = var_planes(u.size) if bitmap else ()
-    reached = 1 if bitmap else {0}
+    reached = Dictionary.from_masks(g.universe, (0,))
     for gm in g.masks():
-        if bitmap:
-            moved = reached
-            for i in _bit_positions(gm):
-                moved = (moved & planes[i]) | ((moved & ~planes[i]) << (1 << i))
-            reached |= moved
-        else:
-            reached |= {m | gm for m in reached}
-        if (reached.bit_count() if bitmap else len(reached)) > max_entries:
+        reached = reached.union(reached.joined(gm))
+        if len(reached) > max_entries:
             raise EnumerationTooLarge(f"union closure exceeds {max_entries} entries")
-    return Dictionary._of(u, reached) if bitmap else Dictionary.from_masks(u, reached)
+    return reached
 
 
 class CongruenceReport(Record):
@@ -209,15 +196,9 @@ def check_ogl_necessary(
     nothing), so it is set aside on both sides before comparing.
     """
     u = g.universe
-    closure = union_closure(g, max_entries)
-    if closure._bitmap:
-        # Mask m maps to full ^ m, which reverses the 2**n-bit map.
-        complements = Dictionary._of(u, _reverse_bits(closure._data, 1 << u.size))
-    else:
-        complements = Dictionary.from_masks(u, (u.full_mask & ~m for m in closure.masks()))
     full = Dictionary.from_masks(u, (u.full_mask,))
     rule_family = d.difference(full)
-    method_family = complements.difference(full)
+    method_family = union_closure(g, max_entries).complements().difference(full)
     missing = rule_family.difference(method_family)
     extra = method_family.difference(rule_family)
     return CongruenceReport(
@@ -229,88 +210,16 @@ def check_ogl_necessary(
     )
 
 
-#: Each byte value with its 8 bits in reverse order.
-_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _reverse_bits(bits: int, width: int) -> int:
-    """``bits`` read backwards over ``width`` bits: bit m moves to ``width - 1 - m``."""
-    size = (width + 7) // 8
-    flipped = int.from_bytes(bits.to_bytes(size, "big").translate(_BYTE_REVERSED), "little")
-    return flipped >> (8 * size - width)
-
-
-def _irreducible_bitmap(d: Dictionary) -> tuple[int, ...] | None:
-    """The union-irreducible entries of a bitmap family that holds the empty set.
-
-    Returns ``None`` when the family is not union-closed. For each
-    variable ``j``, the up-closure ``up`` of the entries containing ``j``
-    marks the masks m whose union U(m) of entries inside m contains
-    ``j``; a family with the empty set is union-closed exactly when its
-    members are the fixed points U(m) = m. Shifting ``up`` one variable
-    further marks the masks with an entry strictly inside them that
-    contains ``j``, and an entry is irreducible exactly when some
-    variable of it is in no entry strictly inside it. This is the subset
-    zeta transform done bit-parallel: about 2n^2 operations on
-    ``2**n``-bit ints.
-    """
-    planes = var_planes(d.universe.size)
-    steps = [(~p, 1 << i) for i, p in enumerate(planes)]
-    bits = d._data
-    fixed = (1 << (1 << d.universe.size)) - 1
-    exposed = 0
-    for plane in planes:
-        up = bits & plane
-        for outside, shift in steps:
-            up |= (up & outside) << shift
-        fixed &= ~(up ^ plane)
-        below = 0
-        for outside, shift in steps:
-            below |= (up & outside) << shift
-        exposed |= plane & ~below
-    if fixed != bits:
-        return None
-    return Dictionary._of(d.universe, bits & exposed).masks()
-
-
 def _first_gap(d: Dictionary) -> tuple[int, int] | None:
     """The first pair a < b of entries, in ascending order, whose union is no entry.
 
-    ``None`` when the family is union-closed. On a bitmap, projecting
-    the family onto the supersets of a (bit b of ``proj`` is bit a|b of
-    the family) takes one step per variable of a; a mask tuple is
-    searched pair by pair.
+    ``None`` when the family is union-closed. Every b that fails with the
+    first failing a is above it, since a smaller b would have failed first.
     """
-    if not d._bitmap:
-        masks = d.masks()
-        present = set(masks)
-        pairs = ((a, b) for i, a in enumerate(masks) for b in masks[i + 1 :])
-        return next(((a, b) for a, b in pairs if a | b not in present), None)
-    planes = var_planes(d.universe.size)
-    bits = d._data
     for a in d.masks():
-        proj = bits
-        for i in _bit_positions(a):
-            upper = proj & planes[i]
-            proj = upper | (upper >> (1 << i))
-        gaps = (bits & ~proj) >> (a + 1)
-        if gaps:
-            return a, a + (gaps & -gaps).bit_length()
+        if gaps := d.unjoinable(a):
+            return a, gaps.masks()[0]
     return None
-
-
-def _irreducible_generators(masks: tuple[int, ...]) -> list[int]:
-    """Entries that are not unions of strictly smaller entries, pairwise."""
-    nonzero = [m for m in masks if m != 0]
-    out = []
-    for m in nonzero:
-        union = 0
-        for other in nonzero:
-            if other != m and (other & ~m) == 0:
-                union |= other
-        if union != m:
-            out.append(m)
-    return out
 
 
 def synthesize_log_grouping(d: Dictionary) -> GroupingStructure:
@@ -320,8 +229,8 @@ def synthesize_log_grouping(d: Dictionary) -> GroupingStructure:
     and is closed under pairwise unions. On failure the raised error
     says which condition broke, with a witness pair for closure: the
     first pair a < b, in ascending mask order, whose union is missing.
-    Over at most :data:`BITMAP_MAX_VARS` covariates this costs about n^2
-    bitmap operations; over more it compares every pair of entries.
+    The cost is that of :meth:`Dictionary.union_generators`, plus one
+    :meth:`Dictionary.unjoinable` per entry the witness search tries.
     """
     u = d.universe
     if VarSet.empty(u) not in d:
@@ -332,21 +241,15 @@ def synthesize_log_grouping(d: Dictionary) -> GroupingStructure:
         raise SynthesisFailure(
             "dictionary lacks the full universe", reason="missing-full-set"
         )
-    # The irreducibles of a union-closed family generate it.
-    if d._bitmap:
-        groups = _irreducible_bitmap(d)
-        gap = _first_gap(d) if groups is None else None
-    else:
-        gap = _first_gap(d)
-        groups = _irreducible_generators(d.masks()) if gap is None else None
-    if gap is not None:
-        a, b = VarSet(u, gap[0]), VarSet(u, gap[1])
+    groups = d.union_generators()
+    if groups is None:
+        a, b = (VarSet(u, m) for m in _first_gap(d))
         raise SynthesisFailure(
             f"not closed under union: {a.to_text()} with {b.to_text()}",
             reason="not-union-closed",
             witness=(a, b),
         )
-    return GroupingStructure(u, tuple(VarSet(u, m) for m in groups))
+    return GroupingStructure(u, groups.entries)
 
 
 def check_compatibility(method: Method, g: GroupingStructure) -> bool:

@@ -296,6 +296,22 @@ class TestMalformedRuleJson:
         assert proc.stderr.count(b"\n") == 1
 
 
+class TestMalformedDictJson:
+    """A dictionary JSON file is an array of arrays of names, or an input error."""
+
+    @pytest.mark.parametrize(
+        "doc", [[1], 5, [["A"], "AB"], {"AB": 1}],
+        ids=["number-entry", "number", "string-entry", "object"],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, doc):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("from-dict", "--dict", str(path), "--vars", "A,B")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: dictionary JSON must be an array of name arrays\n"
+
+
 class TestInputEncoding:
     """Rule, grouping and dictionary files are read as UTF-8, a byte order mark dropped."""
 

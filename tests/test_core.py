@@ -1,6 +1,10 @@
+import ast
+import os
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ruledict.core import (
     ConstraintSet,
@@ -19,6 +23,8 @@ from ruledict.errors import (
     UniverseTooLarge,
     UnknownVariable,
 )
+
+from oracles import closure_by_sets, first_union_gap, irreducible_generators
 
 
 @pytest.fixture
@@ -203,6 +209,72 @@ class TestDictionary:
             Dictionary.from_text(abc, "{A,,B}")
         with pytest.raises(UnknownVariable):
             Dictionary.from_text(abc, "{A,Z}")
+
+
+@st.composite
+def families(draw):
+    """A family on one side of the storage boundary: 5 variables (bitmap) or 21 (mask tuple).
+
+    Half the draws are the union closure of a few groups, with up to two
+    masks toggled, so closed and non-closed families both occur.
+    """
+    u = make_universe([f"v{i}" for i in range(draw(st.sampled_from([5, 21])))])
+    mask = st.integers(0, u.full_mask)
+    if not draw(st.booleans()):
+        return u, draw(st.sets(mask, max_size=40))
+    closure = closure_by_sets(draw(st.lists(mask, min_size=1, max_size=5)), 2 ** 20)
+    return u, closure ^ draw(st.sets(mask, max_size=2))
+
+
+class TestStorageMethods:
+    """The storage-specific Dictionary methods against brute force over masks, on both storages."""
+
+    @given(families(), st.integers(0, (1 << 21) - 1))
+    def test_joined_unjoinable_and_complements(self, case, a):
+        u, masks = case
+        a &= u.full_mask
+        d = Dictionary.from_masks(u, masks)
+        assert d.joined(a).masks() == tuple(sorted({m | a for m in masks}))
+        assert d.unjoinable(a).masks() == tuple(sorted(b for b in masks if a | b not in masks))
+        assert d.complements().masks() == tuple(sorted(u.full_mask & ~m for m in masks))
+
+    @given(families())
+    def test_union_generators(self, case):
+        u, masks = case
+        generators = Dictionary.from_masks(u, masks).union_generators()
+        if 0 in masks and first_union_gap(masks) is None:
+            assert generators.masks() == tuple(irreducible_generators(masks))
+        else:
+            assert generators is None
+
+    @pytest.mark.parametrize("n", [5, 21])
+    def test_known_families(self, n):
+        u = make_universe([f"v{i}" for i in range(n)])
+        closed = Dictionary.from_masks(u, [0, 0b1, 0b110, 0b111])
+        assert closed.union_generators().masks() == (0b1, 0b110)
+        assert Dictionary.from_masks(u, [0, 0b1, 0b10]).union_generators() is None
+        assert Dictionary.from_masks(u, [0b1]).union_generators() is None
+        assert not Dictionary(u) and not Dictionary(u).complements()
+        assert Dictionary.from_masks(u, [0]) and Dictionary.from_masks(u, [u.full_mask])
+
+
+def test_storage_stays_inside_core():
+    """Only core.py may touch how a Dictionary is stored."""
+    private = {"_data", "_bitmap", "_of", "_bytes", "_lookup", "_mask_set"}
+    internals = {"var_planes", "_bit_positions", "BITMAP_MAX_VARS"}
+    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "ruledict")
+    leaks = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "core.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in private | internals:
+                leaks.append(f"{name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                leaks += [f"{name}:{node.lineno} import {a.name}" for a in node.names if a.name in internals]
+    assert not leaks
 
 
 class TestConstraintSet:

@@ -321,9 +321,9 @@ class TestSynthesis:
 
 
 @st.composite
-def groupings(draw, max_vars=10):
-    """A covering grouping over 1 to ``max_vars`` covariates."""
-    n = draw(st.integers(1, max_vars))
+def groupings(draw, max_vars=10, min_vars=1):
+    """A covering grouping over ``min_vars`` to ``max_vars`` covariates."""
+    n = draw(st.integers(min_vars, max_vars))
     u = make_universe([f"v{i}" for i in range(n)])
     masks = draw(st.lists(st.integers(1, u.full_mask), min_size=1, max_size=6, unique=True))
     leftover = u.full_mask & ~reduce(or_, masks)
@@ -432,6 +432,66 @@ class TestBitmapPathMatchesOracles:
             assert all(x | y in gappy for x, y in earlier)
         with pytest.raises(EnumerationTooLarge):
             union_closure(g, max_entries=len(closure) - 1)
+
+
+#: Bits 8-20 of the 21-variable universe below.
+_HIGH = ((1 << 21) - 1) & ~0xFF
+
+
+def _lift(m):
+    """φ: an 8-variable mask into 21 variables, bits 8-20 set along with bit 7.
+
+    φ keeps unions, mask order and the full set, so everything grouping
+    computes over 8 variables (bitmap) maps through φ onto the same
+    computation over 21 variables (mask tuple).
+    """
+    return m | _HIGH if m & 0x80 else m
+
+
+@st.composite
+def eight_variable_cases(draw):
+    """An 8-variable grouping and its union closure with up to three masks toggled."""
+    g = draw(groupings(min_vars=8, max_vars=8))
+    toggled = draw(st.sets(st.integers(0, 0xFF), max_size=3))
+    return g, closure_by_sets(g.masks(), DEFAULT_MAX_ENUM) ^ toggled
+
+
+def _synthesis(u, family):
+    """The synthesized group masks, or the failure reason and its witness masks."""
+    try:
+        return "groups", synthesize_log_grouping(Dictionary.from_masks(u, family)).masks()
+    except SynthesisFailure as exc:
+        return exc.reason, tuple(v.mask for v in exc.witness or ())
+
+
+class TestStoragesAgree:
+    """The same families on both sides of the storage boundary, related by φ."""
+
+    @given(eight_variable_cases())
+    def test_lifted_results_map_through_phi(self, case):
+        g8, masks8 = case
+        u21 = make_universe([f"v{i}" for i in range(21)])
+        g21 = GroupingStructure(u21, tuple(VarSet(u21, _lift(m)) for m in g8.masks()))
+        results = []
+        for g, masks in ((g8, masks8), (g21, {_lift(m) for m in masks8})):
+            u = g.universe
+            closure, got_closure = closure_by_sets(g.masks(), DEFAULT_MAX_ENUM), union_closure(g)
+            assert got_closure.masks() == tuple(sorted(closure))
+            rule, method = ogl_families(u.size, masks, closure)
+            report = check_ogl_necessary(Dictionary.from_masks(u, masks), g)
+            assert report.rule_family.masks() == tuple(sorted(rule))
+            assert report.method_family.masks() == tuple(sorted(method))
+            kind, got = _synthesis(u, masks)
+            if kind == "groups":
+                assert got == tuple(irreducible_generators(masks))
+            elif kind == "not-union-closed":
+                assert got == first_union_gap(masks)
+            results.append((got_closure, report, kind, got))
+        (closure8, report8, kind8, got8), (closure21, report21, kind21, got21) = results
+        assert closure21.masks() == tuple(map(_lift, closure8.masks()))
+        for name in ("rule_family", "method_family", "missing", "extra"):
+            assert getattr(report21, name).masks() == tuple(map(_lift, getattr(report8, name).masks()))
+        assert (kind21, got21) == (kind8, tuple(map(_lift, got8)))
 
 
 class TestCompatibility:
