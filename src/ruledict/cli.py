@@ -23,6 +23,9 @@ import math
 import os
 import re
 import sys
+from bisect import bisect_left
+from itertools import repeat
+from operator import and_
 
 from .core import (
     DEFAULT_MAX_ENUM,
@@ -115,9 +118,10 @@ _WRITE_BATCH = 4096
 def _write_dictionary(write, d: Dictionary) -> None:
     """Write ``d.to_json_obj()`` as ``json.dumps(..., indent=2)`` lays out a top-level value.
 
-    Each name is encoded once. An entry's text joins the name block of
-    its low half mask with that of its high half, each block built once,
-    and the entries go out in batches of :data:`_WRITE_BATCH`.
+    Each name is encoded once. An entry's text joins the name block of its
+    low half mask with that of its high half. The masks ascend, so each run
+    of entries with one high half, cut at :data:`_WRITE_BATCH` entries, is
+    one ``join`` over low-half blocks; text goes out about a batch at a time.
     """
     masks = d.masks()
     if not masks:
@@ -126,23 +130,25 @@ def _write_dictionary(write, d: Dictionary) -> None:
     names = [f",\n      {json.dumps(name)}" for name in d.universe.names]
     k = (len(names) + 1) // 2
     low_mask = (1 << k) - 1
-
-    def blocks(halves, part):
-        return {h: "".join([name for i, name in enumerate(part) if h >> i & 1]) for h in halves}
-
     # Every block starts with a comma, which the first name of an entry drops.
-    head = {h: "[" + b[1:] for h, b in blocks({m & low_mask for m in masks}, names[:k]).items()}
-    tail = {h: b + "\n    ]" for h, b in blocks({m >> k for m in masks}, names[k:]).items()}
-    sep = "[\n    "
-    for start in range(0, len(masks), _WRITE_BATCH):
-        entries = [
-            head[low] + tail[m >> k] if (low := m & low_mask)
-            else "[" + tail[m >> k][1:] if m
-            else "[]"
-            for m in masks[start:start + _WRITE_BATCH]
-        ]
-        write(sep + ",\n    ".join(entries))
-        sep = ",\n    "
+    # Only the low halves present: a table of all 2**k would not fit at 64 variables.
+    head = {h: "[" + "".join([name for i, name in enumerate(names[:k]) if h >> i & 1])[1:]
+            for h in set(map(and_, masks, repeat(low_mask)))}
+    parts, sep, start, stop, flushed = [], "[\n    ", 0, len(masks), 0
+    while start < stop:
+        high = masks[start] >> k
+        end = bisect_left(masks, (high + 1) << k, start, min(stop, start + _WRITE_BATCH))
+        tail = "".join([name for i, name in enumerate(names[k:]) if high >> i & 1]) + "\n    ]"
+        if not masks[start] & low_mask:
+            parts.append("[" + tail[1:] if high else "[]")
+            start += 1
+        if start < end:
+            run = map(head.__getitem__, map(and_, masks[start:end], repeat(low_mask)))
+            parts.append((tail + ",\n    ").join(run) + tail)
+        start = end
+        if end - flushed >= _WRITE_BATCH or end == stop:
+            write(sep + ",\n    ".join(parts))
+            parts, sep, flushed = [], ",\n    ", end
     write("\n  ]")
 
 
@@ -471,7 +477,23 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """Run :func:`main`, flush stdout and stderr, and skip interpreter teardown by ``os._exit``.
+
+    Safe, as every file is closed by a ``with`` and ``select`` has reaped its
+    workers when ``main`` returns. A failed flush is one ``error:`` line and exit 2.
+    """
+    code = main(sys.argv[1:])
+    try:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            if code != 2:  # else main has written its error line
+                sys.stderr.write(f"error: {exc}\n")
+            code = 2
+        sys.stderr.flush()
+    except OSError:
+        code = 2
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -51,13 +51,18 @@ class Dataset(Record):
         return self.y.shape[0]
 
 
-def _decoded_lines(fh, path):
-    """The lines of the text file ``fh``, with a decoding error raised as
-    a ParseError that names ``path``."""
+def _records(fh, path):
+    """The CSV records of the text file ``fh``, with a decoding error or a malformed
+    record raised as a ParseError that names ``path`` (``csv.field_size_limit``
+    is global to the process, so an over-long field is such a record)."""
+    rownum = 0
     try:
-        yield from fh
+        for rownum, record in enumerate(csv.reader(fh), start=1):
+            yield record
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {rownum + 1}: {exc}", row=rownum + 1) from None
 
 
 def load_dataset(path, outcome: str, u: Universe) -> Dataset:
@@ -71,7 +76,7 @@ def load_dataset(path, outcome: str, u: Universe) -> Dataset:
         raise SchemaMismatch(f"outcome column {outcome!r} is also a covariate")
     # utf-8-sig drops the byte order mark that spreadsheet tools write.
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(_decoded_lines(fh, path))
+        reader = _records(fh, path)
         try:
             header = next(reader)
         except StopIteration:

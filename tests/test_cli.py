@@ -9,6 +9,7 @@ exercised here.
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -25,7 +26,7 @@ from ruledict import (
     parse_rule,
     sequential_nodes,
 )
-from ruledict.core import parse_braced_names
+from ruledict.core import Dictionary, parse_braced_names
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RULES = "fixtures/rules"
@@ -377,6 +378,20 @@ def _dict_stdout(u, text, stage_specs=()):
 ESCAPED_VARS = 'A,B,C,D,q"x,\u00e9'
 
 
+def _names_of(u, masks):
+    """The JSON value of a family of masks, built from the masks alone."""
+    return [[u.names[i] for i in range(u.size) if m >> i & 1] for m in sorted(masks)]
+
+
+def _random_family(rng, n):
+    """Masks over ``n`` variables: a few high halves, each with a random share of a few low halves."""
+    k = (n + 1) // 2
+    highs = rng.sample(range(1 << (n - k)), min(1 << (n - k), rng.randint(1, 12)))
+    lows = rng.sample(range(1 << k), min(1 << k, rng.randint(1, 40)))
+    masks = {h << k | low for h in highs for low in lows if rng.random() < 0.6}
+    return masks | {0} if rng.random() < 0.5 else masks - {0}
+
+
 class TestDictionaryWriter:
     """Streamed dictionary output is byte-identical to ``json.dumps(indent=2)``."""
 
@@ -430,6 +445,61 @@ class TestDictionaryWriter:
         expected = {"size": len(d), "dictionary": d.to_json_obj()}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
+    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [*range(1, 9), 21, 22])
+    def test_random_family(self, monkeypatch, n, seed, batch):
+        # Up to 20 variables a Dictionary is a bitmap, above that a mask tuple.
+        names = [f"v{i}" for i in range(n)]
+        self._check(monkeypatch, names, _random_family(random.Random(1000 * n + seed), n), batch)
+
+    @pytest.mark.parametrize(
+        "names,masks",
+        [
+            (5, set()),
+            (5, {0}),
+            (5, {0, 1, 2, 5, 8, 12, 31}),
+            (5, {1, 2, 5, 8, 12, 31}),
+            (6, {h << 3 | h % 7 for h in range(8)}),
+            (21, {h << 11 | h % 2047 for h in range(1 << 10)}),
+            (26, {*range(1, 5000), *(1 << 13 | low for low in range(6000)), 1 << 25}),
+            (13, set(range(1 << 13))),
+            (ESCAPED_VARS.split(","), {m for m in range(64) if m % 3}),
+        ],
+        ids=["empty", "only-empty-set", "with-empty-set", "without-empty-set",
+             "one-entry-per-high-half", "one-entry-per-high-half-21", "runs-longer-than-a-batch",
+             "powerset-13", "escaped-names"],
+    )
+    def test_edge_family(self, monkeypatch, names, masks):
+        names = [f"v{i}" for i in range(names)] if isinstance(names, int) else names
+        self._check(monkeypatch, names, masks)
+
+    @staticmethod
+    def _check(monkeypatch, names, masks, batch=None):
+        """The written text is ``json.dumps`` of the family, written in batches of under two batches' entries."""
+        from ruledict import cli
+
+        if batch is not None:
+            monkeypatch.setattr(cli, "_WRITE_BATCH", batch)
+        u = make_universe(names)
+        chunks = []
+        cli._write_dictionary(chunks.append, Dictionary.from_masks(u, masks))
+        assert "".join(chunks) == json.dumps(_names_of(u, masks), indent=2).replace("\n", "\n  ")
+        assert max(chunk.count("\n    [") for chunk in chunks) < 2 * cli._WRITE_BATCH
+
+    @pytest.mark.parametrize("n", [6, 21])
+    def test_ogl_payload(self, capsys, n):
+        from ruledict import cli
+
+        rng = random.Random(n)
+        u = make_universe([f"v{i}" for i in range(n - 2)] + ESCAPED_VARS.split(",")[-2:])
+        families = {key: _random_family(rng, n) for key in ("missing", "extra", "rule_family", "method_family")}
+        cli._emit({"method": "ogl", "congruent": False,
+                   **{key: Dictionary.from_masks(u, f) for key, f in families.items()}})
+        expected = {"method": "ogl", "congruent": False,
+                    **{key: _names_of(u, f) for key, f in families.items()}}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "text,groups",
         [
@@ -460,6 +530,91 @@ class TestDictionaryWriter:
         }
         assert proc.returncode == (0 if report.congruent else 1), proc.stderr.decode()
         assert proc.stdout == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def _assert_one_error_line(code, stderr):
+    assert code == 2, stderr.decode()
+    assert b"Traceback" not in stderr and b"Exception ignored" not in stderr
+    lines = stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def _large_rule(tmp_path):
+    """A rule whose dictionary has 63,019 entries, about 6 MB of output."""
+    names = ",".join(f"v{i}" for i in range(16))
+    rule = tmp_path / "large.rule"
+    rule.write_text(f"vars: {names}\nselect 0..11 of {{{names}}}\n")
+    return str(rule)
+
+
+class TestExitPath:
+    """``python -m ruledict.cli`` leaves by ``os._exit`` after flushing both streams.
+
+    Each child runs once with buffered streams (an empty
+    ``PYTHONUNBUFFERED``), where output not flushed before the exit would
+    be lost, and once unbuffered.
+    """
+
+    COMMANDS = {
+        "dict": ["dict", "--rule", f"{RULES}/strong_heredity.rule"],
+        "select": ["select", "--rule", f"{RULES}/one_or_two.rule", "--data", f"{DATA}/linear_abc.csv",
+                   "--outcome", "Y", "--criterion", "cv", "--folds", "5"],
+    }
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_files_hold_the_in_process_bytes(self, tmp_path, monkeypatch, capsys, command, unbuffered):
+        from ruledict import cli
+
+        argv = self.COMMANDS[command]
+        with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
+            proc = subprocess.run([sys.executable, "-m", "ruledict.cli", *argv], stdout=out, stderr=err,
+                                  cwd=ROOT, env=_env({"PYTHONUNBUFFERED": unbuffered}), timeout=60)
+        monkeypatch.chdir(ROOT)
+        assert cli.main(argv) == proc.returncode == 0
+        got = capsys.readouterr()
+        assert (tmp_path / "out").read_bytes() == got.out.encode()
+        assert (tmp_path / "err").read_bytes() == got.err.encode()
+        assert got.out and (got.err if command == "select" else not got.err)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("size", ["small", "large"])
+    def test_pipe_without_reader(self, tmp_path, size, unbuffered):
+        rule = f"{RULES}/one_or_two.rule" if size == "small" else _large_rule(tmp_path)
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ruledict.cli", "dict", "--rule", rule],
+                                  stdout=w, stderr=subprocess.PIPE, cwd=ROOT,
+                                  env=_env({"PYTHONUNBUFFERED": unbuffered}), timeout=60)
+        finally:
+            os.close(w)
+        _assert_one_error_line(proc.returncode, proc.stderr)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_closes_early(self, tmp_path, unbuffered):
+        r, w = os.pipe()
+        with subprocess.Popen([sys.executable, "-m", "ruledict.cli", "dict", "--rule", _large_rule(tmp_path)],
+                              stdout=w, stderr=subprocess.PIPE, cwd=ROOT,
+                              env=_env({"PYTHONUNBUFFERED": unbuffered})) as proc:
+            os.close(w)
+            with open(r, "rb") as reader:
+                assert reader.read(10) == b'{\n  "unive'
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        _assert_one_error_line(code, stderr)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [GOLDEN_CASES[0][2], GOLDEN_CASES[13][2], COMMANDS["select"], ["dict", "--rule", "no/such.rule"]],
+        ids=["dict", "equiv-not-equivalent", "select", "missing-file"],
+    )
+    def test_console_script_route(self, argv):
+        script = subprocess.run([sys.executable, "-c", "from ruledict.cli import entry; entry()", *argv],
+                                capture_output=True, cwd=ROOT, env=_env(), timeout=60)
+        module = run_cli(*argv, timeout=60)
+        assert (script.returncode, script.stdout, script.stderr) == (
+            module.returncode, module.stdout, module.stderr)
 
 
 class TestEquivCommand:
@@ -625,6 +780,15 @@ class TestSelectCommand:
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stderr == runs[1].stderr
         assert len(json.loads(runs[0].stdout)) == 512 > 2 * _CHUNK
+
+    def test_overlong_field_is_one_error_line(self, tmp_path):
+        data = tmp_path / "long.csv"
+        data.write_text("A,B,C,Y\n1,2,3,4\n5,6," + "7" * 200_000 + ",8\n1,2,3,5\n")
+        proc = run_cli("select", "--rule", f"{RULES}/one_or_two.rule", "--data", str(data),
+                       "--outcome", "Y", "--criterion", "bic")
+        assert proc.stdout == b""
+        _assert_one_error_line(proc.returncode, proc.stderr)
+        assert proc.stderr.startswith(f"error: {data}: row 3: field larger than field limit".encode())
 
     def test_cv_without_folds(self):
         proc = run_cli(

@@ -258,23 +258,57 @@ class TestStorageMethods:
         assert Dictionary.from_masks(u, [0]) and Dictionary.from_masks(u, [u.full_mask])
 
 
+def _package_trees():
+    """``(file name, syntax tree)`` for each module of the package."""
+    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "ruledict")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
 def test_storage_stays_inside_core():
     """Only core.py may touch how a Dictionary is stored."""
     private = {"_data", "_bitmap", "_of", "_bytes", "_lookup", "_mask_set"}
     internals = {"var_planes", "_bit_positions", "BITMAP_MAX_VARS"}
-    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "ruledict")
     leaks = []
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py") or name == "core.py":
+    for name, tree in _package_trees():
+        if name == "core.py":
             continue
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in private | internals:
                 leaks.append(f"{name}:{node.lineno} .{node.attr}")
             elif isinstance(node, ast.ImportFrom):
                 leaks += [f"{name}:{node.lineno} import {a.name}" for a in node.names if a.name in internals]
     assert not leaks
+
+
+def test_os_exit_only_in_entry_and_workers():
+    """``os._exit`` reachable from ``cli.main`` would end an in-process caller, such as a test run.
+
+    It may appear only in ``cli.entry`` and in the forked worker branch of
+    ``select``, and only the ``__main__`` guard may call ``entry``.
+    """
+    exits, entry_calls = [], []
+    for name, tree in _package_trees():
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+        def enclosing(node):
+            while node in parents:
+                node = parents[node]
+                yield node
+
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "_exit"
+                    or isinstance(node, ast.ImportFrom) and "_exit" in {a.name for a in node.names}):
+                chain = list(enclosing(node))
+                function = next((p.name for p in chain if isinstance(p, ast.FunctionDef)), None)
+                tests = [ast.unparse(p.test) for p in chain if isinstance(p, ast.If)]
+                exits.append((name, function, "pid == 0" in tests))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in {"entry", "cli.entry"}:
+                entry_calls.append((name, [ast.unparse(p.test) for p in enclosing(node) if isinstance(p, ast.If)]))
+    assert sorted(exits) == [("cli.py", "entry", False), ("select.py", "_run_chunks", True)]
+    assert entry_calls == [("cli.py", ["__name__ == '__main__'"])]
 
 
 class TestConstraintSet:
