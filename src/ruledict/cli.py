@@ -470,8 +470,9 @@ def main(argv=None) -> int:
             )
         _emit(payload)
         return 1
-    except (RuledictError, OSError, ValueError) as exc:
-        # json.JSONDecodeError is a ValueError; so are bad numeric flags.
+    except (RuledictError, OSError, ValueError, Warning) as exc:
+        # json.JSONDecodeError is a ValueError; so are bad numeric flags. A
+        # Warning is raised when the warnings filter says "error".
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

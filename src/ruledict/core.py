@@ -455,13 +455,15 @@ class Dictionary:
         flipped = int.from_bytes(self._data.to_bytes(size, "big").translate(reverse), "little")
         return Dictionary._of(u, flipped >> (8 * size - width))
 
-    def union_generators(self) -> "Dictionary | None":
-        """The union-irreducible entries, or ``None`` when the family is not union-closed.
+    def union_generators(self) -> "tuple[Dictionary, bool]":
+        """The union-irreducible entries, and whether the family is union-closed.
 
         A union-closed family holds the empty union; its entries that are
         not the union of the entries strictly inside them (all smaller
-        masks) are its unique minimal generators. A mask tuple is tested
-        pair by pair. On a bitmap, for each variable ``j``, the up-closure
+        masks) are its unique minimal generators. A mask tuple joins each
+        entry not yet reached onto the unions reached, ascending, and stops
+        at the first union outside the family with every irreducible entry
+        up to there. On a bitmap, for each variable ``j``, the up-closure
         ``up`` of the entries containing ``j`` marks the masks m whose
         union U(m) of entries inside m contains ``j``; the family is
         union-closed when its members are the fixed points U(m) = m.
@@ -473,12 +475,15 @@ class Dictionary:
         """
         u, data = self.universe, self._data
         if not self._bitmap:
-            present = self._mask_set()
-            if 0 not in present or any(a | b not in present for a, b in combinations(data, 2)):
-                return None
-            return Dictionary._of(u, tuple(
-                m for j, m in enumerate(data) if reduce(or_, (o for o in data[:j] if not o & ~m), 0) != m
-            ))
+            present, reached, generators = self._mask_set(), {0}, []
+            for m in data:
+                if m not in reached:
+                    generators.append(m)
+                    joined = {r | m for r in reached}
+                    if not joined <= present:
+                        return Dictionary._of(u, tuple(generators)), False
+                    reached |= joined
+            return Dictionary._of(u, tuple(generators)), 0 in present
         planes = var_planes(u.size)
         steps = [(~p, 1 << i) for i, p in enumerate(planes)]
         fixed = (1 << (1 << u.size)) - 1
@@ -492,7 +497,7 @@ class Dictionary:
             for outside, shift in steps:
                 below |= (up & outside) << shift
             exposed |= plane & ~below
-        return Dictionary._of(u, data & exposed) if fixed == data else None
+        return Dictionary._of(u, data & exposed), fixed == data
 
     def within(self, v: VarSet) -> "Dictionary":
         """Entries that are subsets of ``v``."""

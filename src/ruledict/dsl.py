@@ -65,6 +65,10 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"select", "of", "and", "or", "not"}
 
+#: Largest upper end of a ``lo..hi`` count range. The range becomes a set
+#: of every count in it, and no count above 64 can match a subset anyway.
+_MAX_RANGE_END = 10 ** 7
+
 
 def _byte_span(text: str, cstart: int, cend: int) -> SourceSpan:
     # Only computed when raising; fixtures are ASCII so this is usually identity.
@@ -227,6 +231,12 @@ class _Parser:
                     f"empty count range {lo}..{hi}",
                     span=_byte_span(self.text, tok.cstart, hi_tok.cend),
                     expected=["an upper bound >= the lower bound"],
+                )
+            if hi > _MAX_RANGE_END:
+                raise ParseError(
+                    f"count range {lo}..{hi} ends above {_MAX_RANGE_END}",
+                    span=_byte_span(self.text, tok.cstart, hi_tok.cend),
+                    expected=[f"an upper bound <= {_MAX_RANGE_END}"],
                 )
             return ConstraintSet.closed_range(lo, hi)
         self.fail("expected selection counts", ["'{'", "an integer"], tok)

@@ -210,18 +210,6 @@ def check_ogl_necessary(
     )
 
 
-def _first_gap(d: Dictionary) -> tuple[int, int] | None:
-    """The first pair a < b of entries, in ascending order, whose union is no entry.
-
-    ``None`` when the family is union-closed. Every b that fails with the
-    first failing a is above it, since a smaller b would have failed first.
-    """
-    for a in d.masks():
-        if gaps := d.unjoinable(a):
-            return a, gaps.masks()[0]
-    return None
-
-
 def synthesize_log_grouping(d: Dictionary) -> GroupingStructure:
     """Build a grouping whose union closure is exactly ``d``, if one exists.
 
@@ -229,8 +217,9 @@ def synthesize_log_grouping(d: Dictionary) -> GroupingStructure:
     and is closed under pairwise unions. On failure the raised error
     says which condition broke, with a witness pair for closure: the
     first pair a < b, in ascending mask order, whose union is missing.
-    The cost is that of :meth:`Dictionary.union_generators`, plus one
-    :meth:`Dictionary.unjoinable` per entry the witness search tries.
+    That a is irreducible, as were it the union of smaller entries c1..ck,
+    some ci would fail first, with the entry b | c1 | ... | c(i-1); so the
+    witness search runs :meth:`Dictionary.unjoinable` on generators only.
     """
     u = d.universe
     if VarSet.empty(u) not in d:
@@ -241,9 +230,10 @@ def synthesize_log_grouping(d: Dictionary) -> GroupingStructure:
         raise SynthesisFailure(
             "dictionary lacks the full universe", reason="missing-full-set"
         )
-    groups = d.union_generators()
-    if groups is None:
-        a, b = (VarSet(u, m) for m in _first_gap(d))
+    groups, closed = d.union_generators()
+    if not closed:
+        a, gaps = next((a, gaps) for a in groups.masks() if (gaps := d.unjoinable(a)))
+        a, b = VarSet(u, a), VarSet(u, gaps.masks()[0])
         raise SynthesisFailure(
             f"not closed under union: {a.to_text()} with {b.to_text()}",
             reason="not-union-closed",

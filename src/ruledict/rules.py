@@ -372,8 +372,6 @@ def eval_rule(
         d1, d2 = kids
         if kind is not Sequential:
             return _binary(kind, u, d1, d2, max_entries)
-        # Reported from the caller of eval_rule, past visit and _fold.
-        _check_sequential_scopes(d1, d2, stacklevel=5)
         stage = stages.get(node)
         if stage is None:
             raise MissingStageResult(
@@ -383,6 +381,9 @@ def eval_rule(
             raise InvalidStageResult(
                 f"stage outcome {stage.chosen.to_text()} is not permitted by the first stage"
             )
+        # After the stage checks, so a failed call warns nothing. Reported
+        # from the caller of eval_rule, past visit and _fold.
+        _check_sequential_scopes(d1, d2, stacklevel=5)
         return sequential_restrict(d2, stage)
 
     return _fold(expr, _children, visit)

@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import textwrap
@@ -44,13 +45,18 @@ def _env(env_extra=None):
     return env
 
 
-def run_cli(*argv, env_extra=None, cwd=ROOT, timeout=None):
+def run_cli(*argv, env_extra=None, cwd=ROOT, timeout=None, address_space=None):
+    """Run the CLI in a child process, its address space capped at ``address_space`` bytes if given."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "ruledict.cli", *argv],
         capture_output=True,
         cwd=cwd,
         env=_env(env_extra),
         timeout=timeout,
+        preexec_fn=limit if address_space else None,
     )
 
 
@@ -181,6 +187,35 @@ class TestDictCommand:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"error:")
+
+    @pytest.mark.parametrize("warnings_filter", ["", "error"])
+    def test_scope_warning_keeps_the_exit_contract(self, tmp_path, warnings_filter):
+        # The two stages select over different variables, which warns.
+        rule = tmp_path / "r.rule"
+        rule.write_text("vars: A, B\nselect {1} of {A} => select {0} of {B}\n")
+        env = {"PYTHONWARNINGS": warnings_filter}
+        proc = run_cli("dict", "--rule", str(rule), env_extra=env)
+        assert proc.stdout == b""
+        _assert_one_error_line(proc.returncode, proc.stderr)
+        assert b"needs the outcome chosen by its first stage" in proc.stderr
+        proc = run_cli("dict", "--rule", str(rule), "--stage", "{A}", env_extra=env)
+        if warnings_filter:
+            assert proc.stdout == b""
+            _assert_one_error_line(proc.returncode, proc.stderr)
+            assert b"different variables" in proc.stderr
+        else:
+            assert proc.returncode == 0
+            assert json.loads(proc.stdout)["dictionary"] == [[], ["A"]]
+            assert b"SequentialScopeWarning" in proc.stderr
+
+    def test_huge_count_range_is_a_parse_error(self, tmp_path):
+        # A billion counts would fill the capped address space before the parse ends.
+        rule = tmp_path / "r.rule"
+        rule.write_text("vars: A\nselect 0..1000000000 of {A} and\n")
+        proc = run_cli("dict", "--rule", str(rule), address_space=256 * 2**20, timeout=60)
+        assert proc.stdout == b""
+        _assert_one_error_line(proc.returncode, proc.stderr)
+        assert b"count range 0..1000000000 ends above 10000000" in proc.stderr
 
     def test_stage_not_permitted_by_first_stage(self):
         proc = run_cli(
@@ -679,6 +714,14 @@ class TestSynthesizeCommand:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert json.loads(proc.stdout)["congruent"] is True
+
+    def test_twenty_one_variables(self, tmp_path):
+        # 2**20 entries in a mask tuple: a pairwise closedness test compares 5.5e11 pairs.
+        rule = tmp_path / "r.rule"
+        rule.write_text(f"vars: {', '.join(f'v{i}' for i in range(21))}\nselect {{0,2}} of {{v19,v20}}\n")
+        proc = run_cli("synthesize", "--rule", str(rule), timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert json.loads(proc.stdout)["groups"] == [[f"v{i}"] for i in range(19)] + [["v19", "v20"]]
 
 
 class TestSelectCommand:

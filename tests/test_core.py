@@ -241,19 +241,25 @@ class TestStorageMethods:
     @given(families())
     def test_union_generators(self, case):
         u, masks = case
-        generators = Dictionary.from_masks(u, masks).union_generators()
-        if 0 in masks and first_union_gap(masks) is None:
-            assert generators.masks() == tuple(irreducible_generators(masks))
+        generators, closed = Dictionary.from_masks(u, masks).union_generators()
+        gap, irreducible = first_union_gap(masks), irreducible_generators(masks)
+        assert closed == (0 in masks and gap is None)
+        if closed:
+            assert generators.masks() == tuple(irreducible)
         else:
-            assert generators is None
+            # Irreducible entries only, and every one up to the first failing entry.
+            assert set(generators.masks()) <= set(irreducible)
+            assert gap is None or {m for m in irreducible if m <= gap[0]} <= set(generators.masks())
 
     @pytest.mark.parametrize("n", [5, 21])
     def test_known_families(self, n):
         u = make_universe([f"v{i}" for i in range(n)])
         closed = Dictionary.from_masks(u, [0, 0b1, 0b110, 0b111])
-        assert closed.union_generators().masks() == (0b1, 0b110)
-        assert Dictionary.from_masks(u, [0, 0b1, 0b10]).union_generators() is None
-        assert Dictionary.from_masks(u, [0b1]).union_generators() is None
+        generators, is_closed = closed.union_generators()
+        assert generators.masks() == (0b1, 0b110) and is_closed
+        assert not Dictionary.from_masks(u, [0, 0b1, 0b10]).union_generators()[1]
+        generators, is_closed = Dictionary.from_masks(u, [0b1]).union_generators()
+        assert generators.masks() == (0b1,) and not is_closed
         assert not Dictionary(u) and not Dictionary(u).complements()
         assert Dictionary.from_masks(u, [0]) and Dictionary.from_masks(u, [u.full_mask])
 

@@ -486,12 +486,54 @@ class TestStoragesAgree:
                 assert got == tuple(irreducible_generators(masks))
             elif kind == "not-union-closed":
                 assert got == first_union_gap(masks)
+            closed = Dictionary.from_masks(u, masks).union_generators()[1]
+            assert closed == (0 in masks and first_union_gap(masks) is None)
             results.append((got_closure, report, kind, got))
         (closure8, report8, kind8, got8), (closure21, report21, kind21, got21) = results
         assert closure21.masks() == tuple(map(_lift, closure8.masks()))
         for name in ("rule_family", "method_family", "missing", "extra"):
             assert getattr(report21, name).masks() == tuple(map(_lift, getattr(report8, name).masks()))
         assert (kind21, got21) == (kind8, tuple(map(_lift, got8)))
+
+    @pytest.mark.parametrize("dropped", [None, 0b1111, 0b11111, 0b1111111])
+    def test_many_generators(self, dropped):
+        """The empty set and every set of at least 4 of 8 variables, generated by its 70 4-sets.
+
+        Dropping a 4-set keeps it union-closed; dropping a larger set does not.
+        """
+        masks8 = {m for m in range(1 << 8) if m == 0 or m.bit_count() >= 4} - {dropped}
+        results = []
+        for n, masks in ((8, masks8), (21, {_lift(m) for m in masks8})):
+            u = make_universe([f"v{i}" for i in range(n)])
+            generators, closed = Dictionary.from_masks(u, masks).union_generators()
+            kind, got = _synthesis(u, masks)
+            if first_union_gap(masks) is None:
+                assert closed and kind == "groups"
+                assert got == generators.masks() == tuple(irreducible_generators(masks))
+            else:
+                assert not closed and (kind, got) == ("not-union-closed", first_union_gap(masks))
+            results.append((kind, got))
+        (kind8, got8), (kind21, got21) = results
+        if dropped is None:
+            assert len(got8) == 70
+        assert (kind21, got21) == (kind8, tuple(map(_lift, got8)))
+
+
+def test_witness_search_tries_generators_only(monkeypatch):
+    """A late witness at 17 variables: every subset of v0..v13 is an entry and joins cleanly.
+
+    Only the 14 singletons among them are generators, so the search
+    reaches {v14} after 14 calls instead of 2**14.
+    """
+    u = make_universe([f"v{i}" for i in range(17)])
+    d = Dictionary.of_counts(u, 0b111 << 14, (0, 1, 3))
+    calls = []
+    unjoinable = Dictionary.unjoinable
+    monkeypatch.setattr(Dictionary, "unjoinable", lambda self, a: calls.append(a) or unjoinable(self, a))
+    with pytest.raises(SynthesisFailure) as exc:
+        synthesize_log_grouping(d)
+    assert tuple(v.mask for v in exc.value.witness) == (1 << 14, 1 << 15)
+    assert len(calls) <= 15
 
 
 class TestCompatibility:
