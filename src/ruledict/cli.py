@@ -23,9 +23,6 @@ import math
 import os
 import re
 import sys
-from bisect import bisect_left
-from itertools import repeat
-from operator import and_
 
 from .core import (
     DEFAULT_MAX_ENUM,
@@ -119,37 +116,48 @@ def _write_dictionary(write, d: Dictionary) -> None:
     """Write ``d.to_json_obj()`` as ``json.dumps(..., indent=2)`` lays out a top-level value.
 
     Each name is encoded once. An entry's text joins the name block of its
-    low half mask with that of its high half. The masks ascend, so each run
-    of entries with one high half, cut at :data:`_WRITE_BATCH` entries, is
-    one ``join`` over low-half blocks; text goes out about a batch at a time.
+    low half mask with that of its high half. :meth:`Dictionary.halves`
+    reads the runs of one high half straight from the storage; a run, cut
+    at :data:`_WRITE_BATCH` entries, is one ``join`` over low-half blocks,
+    and text goes out about a batch at a time.
     """
-    masks = d.masks()
-    if not masks:
+    if not d:
         write("[]")
         return
     names = [f",\n      {json.dumps(name)}" for name in d.universe.names]
     k = (len(names) + 1) // 2
-    low_mask = (1 << k) - 1
-    # Every block starts with a comma, which the first name of an entry drops.
-    # Only the low halves present: a table of all 2**k would not fit at 64 variables.
-    head = {h: "[" + "".join([name for i, name in enumerate(names[:k]) if h >> i & 1])[1:]
-            for h in set(map(and_, masks, repeat(low_mask)))}
-    parts, sep, start, stop, flushed = [], "[\n    ", 0, len(masks), 0
-    while start < stop:
-        high = masks[start] >> k
-        end = bisect_left(masks, (high + 1) << k, start, min(stop, start + _WRITE_BATCH))
-        tail = "".join([name for i, name in enumerate(names[k:]) if high >> i & 1]) + "\n    ]"
-        if not masks[start] & low_mask:
-            parts.append("[" + tail[1:] if high else "[]")
-            start += 1
-        if start < end:
-            run = map(head.__getitem__, map(and_, masks[start:end], repeat(low_mask)))
-            parts.append((tail + ",\n    ").join(run) + tail)
-        start = end
-        if end - flushed >= _WRITE_BATCH or end == stop:
-            write(sep + ",\n    ".join(parts))
-            parts, sep, flushed = [], ",\n    ", end
+    heads, high_names = _Heads(names[:k]), names[k:]
+    parts, sep, pending = [], "[\n    ", 0
+    for high, lows in d.halves(k):
+        tail = "".join([name for i, name in enumerate(high_names) if high >> i & 1]) + "\n    ]"
+        for start in range(0, len(lows), _WRITE_BATCH):
+            run = lows[start:start + _WRITE_BATCH]
+            pending += len(run)
+            if not run[0]:  # the high half's names alone
+                parts.append("[" + tail[1:] if high else "[]")
+                run = run[1:]
+            if run:
+                parts.append((tail + ",\n    ").join(map(heads.__getitem__, run)) + tail)
+            if pending >= _WRITE_BATCH:
+                write(sep + ",\n    ".join(parts))
+                parts, sep, pending = [], ",\n    ", 0
+    if parts:
+        write(sep + ",\n    ".join(parts))
     write("\n  ]")
+
+
+class _Heads(dict):
+    """``[`` and a low half's names less the first comma, built when first asked for.
+
+    A table of all ``2**k`` low halves would not fit at 64 variables.
+    """
+
+    def __init__(self, names: list[str]) -> None:
+        self.names = names
+
+    def __missing__(self, low: int) -> str:
+        head = self[low] = "[" + "".join([name for i, name in enumerate(self.names) if low >> i & 1])[1:]
+        return head
 
 
 def _write_ranking(u: Universe, ranked) -> None:

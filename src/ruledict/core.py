@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache, reduce
-from itertools import accumulate, combinations
-from operator import attrgetter, or_
-from typing import Iterable, Iterator
+from itertools import accumulate, combinations, repeat
+from operator import and_, attrgetter, itemgetter, or_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateVariable,
@@ -62,9 +62,12 @@ class Record:
         own = [name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_")]
         cls._fields = fields = cls._fields + tuple(own)
         cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
-        if fields:  # attrgetter gives a tuple for two or more names only
-            get = attrgetter(*fields)
-            cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+        if fields:  # attrgetter and itemgetter give a tuple for two or more names only
+            get, take, many = attrgetter(*fields), itemgetter(*fields), len(fields) > 1
+            cls._values = staticmethod(get if many else lambda record: (get(record),))
+            cls._take = staticmethod(take if many else lambda kwargs: (take(kwargs),))
+            if not many and cls.__hash__ is Record.__hash__:  # no call through _values
+                cls.__hash__ = lambda record: hash((get(record),))
 
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(self._fields):
@@ -76,6 +79,11 @@ class Record:
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
         """The field values of ``cls(*args, **kwargs)``, in field order."""
+        if not args and len(kwargs) == len(cls._fields):
+            try:
+                return cls._take(kwargs)  # every field by keyword
+            except KeyError:  # a name that is no field: the check below reports it
+                pass
         given = dict(zip(cls._fields, args))
         values = {**cls._defaults, **given, **kwargs}
         if len(args) > len(cls._fields) or given.keys() & kwargs or values.keys() != set(cls._fields):
@@ -269,7 +277,9 @@ class Dictionary:
     costs more than it saves. The choice depends on the universe size
     alone. ``masks()``, ``entries``, iteration and the lookup view are
     built on first use: the bitmap's bytes, which membership tests index,
-    or the set of a tuple's masks, which the union checks probe.
+    or the set of a tuple's masks, which the union checks probe. The JSON
+    writer reads :meth:`halves` instead, which decodes a bitmap one run at
+    a time, so no mask tuple of the whole family is built.
     """
 
     __slots__ = ("universe", "_data", "_masks", "_entries", "_lookup")
@@ -362,6 +372,25 @@ class Dictionary:
 
     def __iter__(self) -> Iterator[VarSet]:
         return iter(self.entries)
+
+    def halves(self, k: int) -> Iterator[tuple[int, Sequence[int]]]:
+        """Each high half ``h`` present (``m >> k``), ascending, with the ascending low halves of its entries.
+
+        For ``k >= 3`` a bitmap's runs are read from their own bytes, empty ones
+        skipped; a mask tuple, or runs under a byte, are cut by bisection.
+        """
+        if not self._bitmap or k < 3:
+            masks, low, start = self.masks(), (1 << k) - 1, 0
+            while start < len(masks):
+                high = masks[start] >> k
+                end = bisect_left(masks, (high + 1) << k, start)
+                yield high, [*map(and_, masks[start:end], repeat(low))]
+                start = end
+            return
+        view, width = memoryview(self._data.to_bytes(((1 << self.universe.size) + 7) // 8, "little")), 1 << (k - 3)
+        for high, i in enumerate(range(0, len(view), width)):
+            if bits := int.from_bytes(view[i:i + width], "little"):
+                yield high, _bit_positions(bits)
 
     def __contains__(self, v: VarSet) -> bool:
         if self._bitmap:
@@ -629,7 +658,11 @@ class ConstraintSet(Record):
         """Counts ``lo`` through ``hi`` inclusive."""
         if hi < lo:
             raise ParseError(f"empty count range {lo}..{hi}")
-        return cls(frozenset(range(lo, hi + 1)))
+        counts = range(lo, hi + 1)
+        cls.of(counts[0], counts[-1])  # checks the ends: every count between valid ends is valid
+        record = cls.__new__(cls)
+        cls._setters[0](record, frozenset(counts))
+        return record
 
     @property
     def max(self) -> int:
@@ -639,7 +672,8 @@ class ConstraintSet(Record):
         return c in self.counts
 
     def to_text(self) -> str:
-        return "{" + ",".join(str(c) for c in sorted(self.counts)) + "}"
+        # %d writes each count's digits straight into the text, with no str object per count.
+        return "{" + ",".join(["%d"] * len(self.counts)) % tuple(sorted(self.counts)) + "}"
 
     def __repr__(self) -> str:
         return f"ConstraintSet({self.to_text()})"

@@ -357,8 +357,7 @@ def format_rule(expr: RuleExpr) -> str:
             out.append("(")
             stack.append(")")
         if level == _LEVEL_ATOM:
-            counts = ",".join(str(c) for c in sorted(node.rule.constraint.counts))
-            out.append(f"select {{{counts}}} of {{{','.join(node.rule.scope)}}}")
+            out.append(f"select {node.rule.constraint.to_text()} of {{{','.join(node.rule.scope)}}}")
         elif level == _LEVEL_NOT:
             out.append(word)
             stack.append((node.child, level, False))

@@ -59,7 +59,8 @@ class UnitRule(Record):
 
 def is_coherent(rule: UnitRule) -> bool:
     """True iff the rule can be satisfied: max(constraint) <= |scope|."""
-    return rule.constraint.max <= len(rule.scope)
+    # Distinct counts from 0 up: more than |scope| + 1 of them reach above |scope|.
+    return len(rule.constraint.counts) <= len(rule.scope) + 1 and rule.constraint.max <= len(rule.scope)
 
 
 class RuleExpr(Record):

@@ -137,6 +137,20 @@ def irreducible_generators(masks) -> list[int]:
     return out
 
 
+#: Bits 8-20 of a 21-variable universe.
+_HIGH = ((1 << 21) - 1) & ~0xFF
+
+
+def lift(m: int) -> int:
+    """φ: an 8-variable mask into 21 variables, bits 8-20 set along with bit 7.
+
+    φ keeps unions, mask order and the full set, so everything computed
+    over 8 variables (bitmap) maps through φ onto the same computation
+    over 21 variables (mask tuple).
+    """
+    return m | _HIGH if m & 0x80 else m
+
+
 def ogl_families(universe_size: int, masks, closure) -> tuple[set[int], set[int]]:
     """The two families the overlapping check compares, full universe set aside.
 

@@ -29,6 +29,8 @@ from ruledict import (
 )
 from ruledict.core import Dictionary, parse_braced_names
 
+from oracles import lift
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RULES = "fixtures/rules"
 GROUPS = "fixtures/groupings"
@@ -500,14 +502,55 @@ class TestDictionaryWriter:
             (26, {*range(1, 5000), *(1 << 13 | low for low in range(6000)), 1 << 25}),
             (13, set(range(1 << 13))),
             (ESCAPED_VARS.split(","), {m for m in range(64) if m % 3}),
+            (1, {0}),
+            (16, {0}),
+            (20, {0}),
+            (21, {0}),
+            (17, set(range(1 << 17))),
         ],
         ids=["empty", "only-empty-set", "with-empty-set", "without-empty-set",
              "one-entry-per-high-half", "one-entry-per-high-half-21", "runs-longer-than-a-batch",
-             "powerset-13", "escaped-names"],
+             "powerset-13", "escaped-names", "only-empty-set-1", "only-empty-set-16",
+             "only-empty-set-20", "only-empty-set-21", "powerset-17"],
     )
     def test_edge_family(self, monkeypatch, names, masks):
         names = [f"v{i}" for i in range(names)] if isinstance(names, int) else names
         self._check(monkeypatch, names, masks)
+
+    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_runs_under_a_byte(self, monkeypatch, n, batch):
+        """Every family over up to 3 variables, and 64 seeded ones over 4 and 5 (runs of 2, 4 and 8 bits)."""
+        rng = random.Random(n)
+        if n <= 3:
+            families = [{m for m in range(1 << n) if f >> m & 1} for f in range(1 << (1 << n))]
+        else:
+            families = [{m for m in range(1 << n) if rng.random() < p} for p in (0.1, 0.5, 0.9) * 21 + (1.0,)]
+        for masks in families:
+            self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, batch)
+
+    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("shape", ["empty-high-halves", "one-entry-per-run", "full-runs"])
+    @pytest.mark.parametrize("n", range(17, 21))
+    def test_wide_bitmaps(self, monkeypatch, n, shape, batch):
+        """Runs of 2**9 and 2**10 bits: most high halves empty, one entry in each, or six whole runs, over a batch."""
+        k, rng = (n + 1) // 2, random.Random(n)
+        if shape == "empty-high-halves":
+            masks = {h << k | rng.randrange(1 << k) for h in range(0, 1 << (n - k), 7) for _ in range(3)}
+        elif shape == "one-entry-per-run":
+            masks = {h << k | h * 7919 % (1 << k) for h in range(1 << (n - k))}
+        else:
+            masks = {h << k | low for h in (0, 1, 2, 5, 6, (1 << (n - k)) - 1) for low in range(1 << k)}
+        self._check(monkeypatch, [f"v{i}" for i in range(n)], masks | {0} if rng.random() < 0.5 else masks, batch)
+
+    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_storages_through_phi(self, monkeypatch, seed, batch):
+        """An 8-variable family (bitmap) and its φ lifting into 21 variables (mask tuple)."""
+        rng = random.Random(seed)
+        masks8 = {m for m in range(1 << 8) if rng.random() < (0.05, 0.3, 0.7, 1.0)[seed]}
+        for n, masks in ((8, masks8), (21, set(map(lift, masks8)))):
+            self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, batch)
 
     @staticmethod
     def _check(monkeypatch, names, masks, batch=None):
@@ -521,6 +564,35 @@ class TestDictionaryWriter:
         cli._write_dictionary(chunks.append, Dictionary.from_masks(u, masks))
         assert "".join(chunks) == json.dumps(_names_of(u, masks), indent=2).replace("\n", "\n  ")
         assert max(chunk.count("\n    [") for chunk in chunks) < 2 * cli._WRITE_BATCH
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+    def test_peak_memory_does_not_grow_with_the_family(self, tmp_path):
+        """``dict`` on a 616,666-entry family over 20 variables peaks within 8 MB of a one-entry ``dict``.
+
+        A mask tuple of the whole family costs about 35 MB more. A child's
+        peak starts from the size of the process that forked it, so a small
+        launcher, not this test process, forks the command and reads its peak.
+        """
+        launcher = textwrap.dedent("""
+            import os, sys
+            pid = os.fork()
+            if pid == 0:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+                os.execv(sys.executable, [sys.executable, "-m", "ruledict.cli", *sys.argv[1:]])
+            _, status, usage = os.wait4(pid, 0)
+            print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+        """)
+        names = ",".join(f"v{i}" for i in range(20))
+        peaks = []
+        for counts in ("{0}", "0..10"):
+            rule = tmp_path / "r.rule"
+            rule.write_text(f"vars: {names}\nselect {counts} of {{{names}}}\n")
+            proc = subprocess.run([sys.executable, "-S", "-c", launcher, "dict", "--rule", str(rule)],
+                                  capture_output=True, cwd=ROOT, env=_env(), check=True)
+            code, peak_kb = map(int, proc.stdout.split())
+            assert code == 0, proc.stderr.decode()
+            peaks.append(peak_kb / 1024)
+        assert peaks[1] - peaks[0] < 8, peaks
 
     @pytest.mark.parametrize("n", [6, 21])
     def test_ogl_payload(self, capsys, n):

@@ -1,4 +1,5 @@
 import ast
+import enum
 import os
 import time
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ruledict.core import (
     ConstraintSet,
     Dictionary,
+    Record,
     Universe,
     VarSet,
     dictionary_support,
@@ -251,6 +253,16 @@ class TestStorageMethods:
             assert set(generators.masks()) <= set(irreducible)
             assert gap is None or {m for m in irreducible if m <= gap[0]} <= set(generators.masks())
 
+    @given(families(), st.integers(0, 22))
+    def test_halves(self, case, k):
+        u, masks = case
+        k %= u.size + 2
+        runs = {}
+        for m in sorted(masks):
+            runs.setdefault(m >> k, []).append(m & ((1 << k) - 1))
+        got = [(high, list(lows)) for high, lows in Dictionary.from_masks(u, masks).halves(k)]
+        assert got == list(runs.items())
+
     @pytest.mark.parametrize("n", [5, 21])
     def test_known_families(self, n):
         u = make_universe([f"v{i}" for i in range(n)])
@@ -317,6 +329,48 @@ def test_os_exit_only_in_entry_and_workers():
     assert entry_calls == [("cli.py", ["__name__ == '__main__'"])]
 
 
+class _Pair(Record):
+    __slots__ = ("left", "right", "_note")
+    _defaults = {"right": 0}
+
+
+class _One(Record):
+    __slots__ = ("value",)
+
+
+class TestRecordBinding:
+    """Keyword construction and the one-field hash, on records made here."""
+
+    def test_every_field_by_keyword(self):
+        assert _Pair(left=1, right=2) == _Pair(right=2, left=1) == _Pair(1, 2) == _Pair(1, right=2)
+        assert _Pair(left=1) == _Pair(1) == _Pair(1, 0)
+        assert ConstraintSet(counts=frozenset({1})) == ConstraintSet.of(1)
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [
+            ((), {"right": 2}),
+            ((), {}),
+            ((1,), {"left": 1}),
+            ((1, 2), {"right": 2}),
+            ((), {"left": 1, "other": 3}),
+            ((), {"left": 1, "right": 2, "other": 3}),
+            ((1, 2, 3), {}),
+        ],
+        ids=["missing", "none", "repeated", "repeated-default", "unknown-instead", "unknown-extra",
+             "too-many"],
+    )
+    def test_bad_fields(self, args, kwargs):
+        with pytest.raises(TypeError, match=r"^_Pair\(\) takes the fields \('left', 'right'\), got "):
+            _Pair(*args, **kwargs)
+
+    def test_one_field_hash_is_the_tuple_hash(self):
+        lookalike = type("Lookalike", (_One,), {"__slots__": ()})
+        for record in (_One("x"), _One(value=(1, 2)), lookalike("x")):
+            assert hash(record) == hash((record.value,))
+        assert _One("x") != lookalike("x")
+
+
 class TestConstraintSet:
     def test_of_and_range(self):
         assert ConstraintSet.of(2, 0).counts == frozenset({0, 2})
@@ -330,6 +384,17 @@ class TestConstraintSet:
 
     def test_text(self):
         assert ConstraintSet.of(2, 0, 1).to_text() == "{0,1,2}"
+        assert ConstraintSet.of(100, 2, 10).to_text() == "{2,10,100}"
+        assert ConstraintSet.closed_range(8, 12).to_text() == "{8,9,10,11,12}"
+        assert ConstraintSet.of(enum.IntEnum("Count", {"BIG": 300}).BIG, 7).to_text() == "{7,300}"
+
+    def test_range_checks_its_ends_only(self):
+        wide = ConstraintSet.closed_range(2, 10 ** 6)
+        same = ConstraintSet(frozenset(range(2, 10 ** 6 + 1)))
+        assert wide == same and hash(wide) == hash(same) and wide.counts == same.counts
+        for lo, hi in ((-1, 3), (-5, -2)):
+            with pytest.raises(ParseError):
+                ConstraintSet.closed_range(lo, hi)
 
     def test_invalid(self):
         with pytest.raises(ParseError):

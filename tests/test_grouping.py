@@ -33,6 +33,7 @@ from oracles import (
     closure_by_sets,
     first_union_gap,
     irreducible_generators,
+    lift,
     ogl_families,
     random_covering_groups,
 )
@@ -434,20 +435,6 @@ class TestBitmapPathMatchesOracles:
             union_closure(g, max_entries=len(closure) - 1)
 
 
-#: Bits 8-20 of the 21-variable universe below.
-_HIGH = ((1 << 21) - 1) & ~0xFF
-
-
-def _lift(m):
-    """φ: an 8-variable mask into 21 variables, bits 8-20 set along with bit 7.
-
-    φ keeps unions, mask order and the full set, so everything grouping
-    computes over 8 variables (bitmap) maps through φ onto the same
-    computation over 21 variables (mask tuple).
-    """
-    return m | _HIGH if m & 0x80 else m
-
-
 @st.composite
 def eight_variable_cases(draw):
     """An 8-variable grouping and its union closure with up to three masks toggled."""
@@ -471,9 +458,9 @@ class TestStoragesAgree:
     def test_lifted_results_map_through_phi(self, case):
         g8, masks8 = case
         u21 = make_universe([f"v{i}" for i in range(21)])
-        g21 = GroupingStructure(u21, tuple(VarSet(u21, _lift(m)) for m in g8.masks()))
+        g21 = GroupingStructure(u21, tuple(VarSet(u21, lift(m)) for m in g8.masks()))
         results = []
-        for g, masks in ((g8, masks8), (g21, {_lift(m) for m in masks8})):
+        for g, masks in ((g8, masks8), (g21, {lift(m) for m in masks8})):
             u = g.universe
             closure, got_closure = closure_by_sets(g.masks(), DEFAULT_MAX_ENUM), union_closure(g)
             assert got_closure.masks() == tuple(sorted(closure))
@@ -490,10 +477,10 @@ class TestStoragesAgree:
             assert closed == (0 in masks and first_union_gap(masks) is None)
             results.append((got_closure, report, kind, got))
         (closure8, report8, kind8, got8), (closure21, report21, kind21, got21) = results
-        assert closure21.masks() == tuple(map(_lift, closure8.masks()))
+        assert closure21.masks() == tuple(map(lift, closure8.masks()))
         for name in ("rule_family", "method_family", "missing", "extra"):
-            assert getattr(report21, name).masks() == tuple(map(_lift, getattr(report8, name).masks()))
-        assert (kind21, got21) == (kind8, tuple(map(_lift, got8)))
+            assert getattr(report21, name).masks() == tuple(map(lift, getattr(report8, name).masks()))
+        assert (kind21, got21) == (kind8, tuple(map(lift, got8)))
 
     @pytest.mark.parametrize("dropped", [None, 0b1111, 0b11111, 0b1111111])
     def test_many_generators(self, dropped):
@@ -503,7 +490,7 @@ class TestStoragesAgree:
         """
         masks8 = {m for m in range(1 << 8) if m == 0 or m.bit_count() >= 4} - {dropped}
         results = []
-        for n, masks in ((8, masks8), (21, {_lift(m) for m in masks8})):
+        for n, masks in ((8, masks8), (21, {lift(m) for m in masks8})):
             u = make_universe([f"v{i}" for i in range(n)])
             generators, closed = Dictionary.from_masks(u, masks).union_generators()
             kind, got = _synthesis(u, masks)
@@ -516,7 +503,7 @@ class TestStoragesAgree:
         (kind8, got8), (kind21, got21) = results
         if dropped is None:
             assert len(got8) == 70
-        assert (kind21, got21) == (kind8, tuple(map(_lift, got8)))
+        assert (kind21, got21) == (kind8, tuple(map(lift, got8)))
 
 
 def test_witness_search_tries_generators_only(monkeypatch):

@@ -69,6 +69,17 @@ class TestCoherence:
         r = UnitRule(VarSet.of_names(abcd, ["A", "B"]), ConstraintSet.of(0, 5))
         assert not is_coherent(r)
 
+    def test_every_small_count_set(self, abcd):
+        for names in ([], ["A"], ["A", "B"], ["A", "B", "C"], ["A", "B", "C", "D"]):
+            scope = VarSet.of_names(abcd, names)
+            for bits in range(1, 1 << 7):
+                counts = ConstraintSet(frozenset(c for c in range(7) if bits >> c & 1))
+                assert is_coherent(UnitRule(scope, counts)) == (counts.max <= len(names))
+
+    def test_wide_count_range_is_judged_by_its_size(self, abcd):
+        r = UnitRule(VarSet.full(abcd), ConstraintSet.closed_range(0, 10 ** 6))
+        assert not is_coherent(r) and len(unit_dictionary(abcd, r)) == 0
+
 
 class TestUnitDictionary:
     def test_free_selection_is_powerset(self, abcd):
