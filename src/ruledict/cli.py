@@ -244,20 +244,19 @@ def _read(path: str):
         raise RuledictError(f"{path}: JSON nested too deeply to decode") from None
 
 
-def _load_rule(path: str, vars_spec: str | None):
+def _load_rule(path: str, universe: Universe | None):
     """Read a rule file (DSL text, or JSON when named *.json).
 
-    Returns (universe, expression). An explicit --vars list overrides
-    whatever the file declares.
+    Returns (universe, expression). A given ``universe``, from --vars or
+    another rule, overrides whatever the file declares.
     """
-    override = _parse_vars(vars_spec)
     content = _read(path)
     if not path.endswith(".json"):
-        return read_rule_document(content, universe=override)
+        return read_rule_document(content, universe=universe)
     if not isinstance(content, dict) or "rule" not in content:
         raise RuledictError(f"{path}: expected an object with a 'rule' field")
-    if override is not None:
-        u = override
+    if universe is not None:
+        u = universe
     elif "vars" in content:
         if not isinstance(content["vars"], list):
             raise RuledictError(f"{path}: 'vars' must be an array of names")
@@ -301,7 +300,7 @@ def _stages_for(expr, u: Universe, stage_specs: list[str]):
 
 def _cmd_dict(args) -> int:
     cap = _max_enum()
-    u, expr = _load_rule(args.rule, args.vars)
+    u, expr = _load_rule(args.rule, _parse_vars(args.vars))
     stages, given = _stages_for(expr, u, args.stage)
     d = eval_rule(u, expr, stages=stages, max_entries=cap)
     payload = {
@@ -318,8 +317,8 @@ def _cmd_dict(args) -> int:
 
 def _cmd_equiv(args) -> int:
     cap = _max_enum()
-    u, e1 = _load_rule(args.rule, args.vars)
-    _, e2 = _load_rule(args.rule2, vars_spec=",".join(u.names))
+    u, e1 = _load_rule(args.rule, _parse_vars(args.vars))
+    _, e2 = _load_rule(args.rule2, u)
     same = rules_equivalent(u, e1, e2, max_entries=cap)
     _emit(
         {
@@ -334,7 +333,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_check(args) -> int:
     cap = _max_enum()
-    u, expr = _load_rule(args.rule, args.vars)
+    u, expr = _load_rule(args.rule, _parse_vars(args.vars))
     # Module attributes, so .grouping loads here (see _cmd_select).
     this = sys.modules[__name__]
     g = _load_family(args.grouping, u, this.GroupingStructure, "groups")
@@ -358,7 +357,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     cap = _max_enum()
-    u, expr = _load_rule(args.rule, args.vars)
+    u, expr = _load_rule(args.rule, _parse_vars(args.vars))
     d = eval_rule(u, expr, max_entries=cap)
     g = sys.modules[__name__].synthesize_log_grouping(d)  # loads .grouping
     _emit(
@@ -373,7 +372,7 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_select(args) -> int:
     cap = _max_enum()
-    u, expr = _load_rule(args.rule, args.vars)
+    u, expr = _load_rule(args.rule, _parse_vars(args.vars))
     d = eval_rule(u, expr, max_entries=cap)
     # Each fit is a solve of a few columns: a second OpenBLAS thread gains
     # nothing on it and waits out any process that holds the other core,

@@ -15,8 +15,8 @@ Grammar, lowest precedence first:
 Names match [A-Za-z_][A-Za-z0-9_]*. "#" starts a line comment. A rule
 document may begin with a "vars: A, B, C" line declaring the universe.
 The parser keeps operators and open parentheses on an explicit stack
-and the formatter keeps pending text on another, so neither long nor
-deeply nested rules recurse.
+and the formatter writes through the rule-tree walker, so neither long
+nor deeply nested rules recurse.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .core import ConstraintSet, Universe, VarSet, make_universe
 from .errors import ParseError, UnknownVariable
-from .rules import And, Implies, Not, Or, RuleExpr, Sequential, Unit, UnitRule
+from .rules import And, Implies, Not, Or, RuleExpr, Sequential, Unit, UnitRule, _text
 
 
 class SourceSpan(NamedTuple):
@@ -111,6 +111,7 @@ _LEVEL_ATOM = 5
 # Level, operator text, and right-associativity. A same-level child keeps
 # its parens on the left of a right-associative operator, else on the right.
 _SYNTAX = {
+    Unit: (_LEVEL_ATOM, None, False),
     Implies: (_LEVEL_ARROW, " -> ", True),
     Sequential: (_LEVEL_ARROW, " => ", True),
     Or: (_LEVEL_OR, " or ", False),
@@ -336,33 +337,23 @@ def format_rule(expr: RuleExpr) -> str:
 
     Counts print sorted ascending, scope names in universe index order,
     parentheses only where precedence demands them. Parsing the result
-    reproduces ``expr`` structurally. Pieces come off one stack of text
-    and (node, parent level, strict) items and are joined once.
+    reproduces ``expr`` structurally.
     """
-    out = []
-    stack: list = [(expr, 0, False)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
+
+    def expand(item):
+        # A node's text, in parentheses if its parent's level binds tighter, or as tight and strict.
         node, parent, strict = item
-        if isinstance(node, Unit):
-            level = _LEVEL_ATOM
-        elif type(node) in _SYNTAX:
-            level, word, right_assoc = _SYNTAX[type(node)]
-        else:
+        if type(node) not in _SYNTAX:
             raise TypeError(f"not a rule expression: {node!r}")
-        if level < parent or (strict and level == parent):
-            out.append("(")
-            stack.append(")")
+        level, word, right_assoc = _SYNTAX[type(node)]
         if level == _LEVEL_ATOM:
-            out.append(f"select {node.rule.constraint.to_text()} of {{{','.join(node.rule.scope)}}}")
+            parts = [f"select {node.rule.constraint.to_text()} of {{{','.join(node.rule.scope)}}}"]
         elif level == _LEVEL_NOT:
-            out.append(word)
-            stack.append((node.child, level, False))
+            parts = [word, (node.child, level, False)]
         else:
-            stack.append((node.right, level, not right_assoc))
-            stack.append(word)
-            stack.append((node.left, level, right_assoc))
-    return "".join(out)
+            parts = [(node.left, level, right_assoc), word, (node.right, level, not right_assoc)]
+        if level < parent or (strict and level == parent):
+            return ["(", *parts, ")"]
+        return parts
+
+    return _text((expr, 0, False), expand)

@@ -75,7 +75,7 @@ class RuleExpr(Record):
     __slots__ = ("_hash",)
 
     def _preorder_keys(self) -> Iterator[tuple]:
-        return ((type(n), getattr(n, "rule", None)) for n in _walk(self))
+        return ((type(n), getattr(n, "rule", None)) for n in _preorder(self, _children))
 
     def __eq__(self, other):
         if not isinstance(other, RuleExpr):
@@ -93,33 +93,17 @@ class RuleExpr(Record):
         return _fold(self, lambda n: () if hasattr(n, "_hash") else _children(n), visit)
 
     def __repr__(self):
-        # The record text, Not(child=Unit(rule=UnitRule(...))), written
-        # in order: _fold takes a node's children before visiting any of
-        # them and visits the node after all of them, so the opening text
-        # goes out from ``opening``, the ")" from ``closing``, and the
-        # text between two fields is a child of its own.
-        out = []
-
-        def opening(item):
-            if isinstance(item, str):
-                out.append(item)
-                return ()
+        # The record text, Not(child=Unit(rule=UnitRule(...))), on an explicit stack.
+        def expand(item):
             if type(item) is Unit:
-                out.append(f"Unit(rule={item.rule!r})")
-                return ()
+                return (f"Unit(rule={item.rule!r})",)
             first, *rest = _SHAPES[type(item)][1]
-            out.append(f"{type(item).__qualname__}({first}=")
-            kids = [getattr(item, first)]
+            parts = [f"{type(item).__qualname__}({first}=", getattr(item, first)]
             for field in rest:
-                kids += [f", {field}=", getattr(item, field)]
-            return kids
+                parts += [f", {field}=", getattr(item, field)]
+            return parts + [")"]
 
-        def closing(item, _):
-            if isinstance(item, RuleExpr) and type(item) is not Unit:
-                out.append(")")
-
-        _fold(self, opening, closing)
-        return "".join(out)
+        return _text(self, expand)
 
     def __reduce__(self):
         # The pickler recurses into fields, so a deep tree ships flat, in
@@ -183,13 +167,19 @@ def _children(node) -> tuple:
     return tuple(getattr(node, field) for field in _SHAPES[type(node)][1])
 
 
-def _walk(expr: RuleExpr) -> Iterator[RuleExpr]:
-    """Pre-order traversal without recursion."""
-    stack = [expr]
+def _preorder(root, children: Callable) -> Iterator:
+    """Pre-order traversal on an explicit stack: an item, then each of ``children(item)``."""
+    stack = [root]
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(_children(node)))
+        item = stack.pop()
+        yield item
+        stack.extend(reversed(children(item)))
+
+
+def _text(root, expand: Callable) -> str:
+    """Join a text tree: ``expand(item)`` lists the strings and items standing in its place."""
+    items = _preorder(root, lambda item: () if isinstance(item, str) else expand(item))
+    return "".join(item for item in items if isinstance(item, str))
 
 
 def _fold(root, children: Callable, visit: Callable):
@@ -275,18 +265,6 @@ def unit_dictionary(
     return Dictionary.of_counts(u, rule.scope.mask, rule.constraint.counts)
 
 
-def _binary(
-    kind: type, u: Universe, d1: Dictionary, d2: Dictionary, max_entries: int
-) -> Dictionary:
-    """``d1`` and, or or implies ``d2``, as ``kind`` is And, Or or Implies."""
-    if kind is And:
-        return d1.intersection(d2)
-    if kind is Or:
-        return d1.union(d2)
-    # Outside d1 anything passes; inside it, d2 must hold too: not d1 or d2.
-    return powerset(u, max_entries).difference(d1).union(d2)
-
-
 def combine(
     op: str,
     u: Universe,
@@ -313,10 +291,14 @@ def combine(
         return powerset(u, max_entries).difference(d1)
     if d2 is None:
         raise ArityMismatch(f"{op!r} needs two dictionaries")
-    kind = _NODES.get(op, (None,))[0]
-    if kind not in (And, Or, Implies):
+    if op == "and":
+        return d1.intersection(d2)
+    if op == "or":
+        return d1.union(d2)
+    if op != "implies":
         raise ArityMismatch(f"unknown operation {op!r}")
-    return _binary(kind, u, d1, d2, max_entries)
+    # Outside d1 anything passes; inside it, d2 must hold too: not d1 or d2.
+    return powerset(u, max_entries).difference(d1).union(d2)
 
 
 def sequential_restrict(d2: Dictionary, stage: StageResult) -> Dictionary:
@@ -368,11 +350,9 @@ def eval_rule(
         kind = type(node)
         if kind is Unit:
             return unit_dictionary(u, node.rule, max_entries)
-        if kind is Not:
-            return powerset(u, max_entries).difference(kids[0])
-        d1, d2 = kids
         if kind is not Sequential:
-            return _binary(kind, u, d1, d2, max_entries)
+            return combine(_SHAPES[kind][0], u, *kids, max_entries=max_entries)
+        d1, d2 = kids
         stage = stages.get(node)
         if stage is None:
             raise MissingStageResult(
@@ -407,7 +387,7 @@ def stage_outcomes(
 
 def sequential_nodes(expr: RuleExpr) -> list[Sequential]:
     """All sequential nodes in pre-order document order."""
-    return [n for n in _walk(expr) if isinstance(n, Sequential)]
+    return [n for n in _preorder(expr, _children) if isinstance(n, Sequential)]
 
 
 def rules_equivalent(

@@ -27,6 +27,7 @@ from .errors import (
     MissingValue,
     ParseError,
     RankDeficient,
+    RuledictError,
     SchemaMismatch,
     Underdetermined,
 )
@@ -170,9 +171,17 @@ def _fit(Z: np.ndarray, y: np.ndarray, cols: list[int], s: VarSet, tss: float) -
 
 def _shared(d: Dataset) -> tuple[np.ndarray, float]:
     """What every fit on ``d`` shares: ``Z``, the intercept column followed
-    by every covariate column, and the total sum of squares of the outcome."""
-    centered = d.y - d.y.mean()
-    return np.column_stack([np.ones(d.n), d.X]), float(centered @ centered)
+    by every covariate column, and the total sum of squares of the outcome.
+
+    A sum of squares past the float64 range is a RuledictError: scores
+    built on it would be infinite or NaN and rank nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = d.y - d.y.mean()
+        tss = float(centered @ centered)
+    if not math.isfinite(tss):
+        raise RuledictError(f"outcome column {d.outcome!r}: sum of squares overflows float64")
+    return np.column_stack([np.ones(d.n), d.X]), tss
 
 
 def fit_ols(d: Dataset, s: VarSet) -> FitResult:

@@ -292,6 +292,109 @@ def select_best(
 
 
 # ---------------------------------------------------------------------------
+# Frozen copies of the rule text writers as they stood before both came to
+# share one pre-order walker: canonical text and the record repr must keep
+# these bytes.
+
+# Level, operator text, and right-associativity, as ruledict.dsl had them.
+_FROZEN_ATOM, _FROZEN_NOT = 5, 4
+_FROZEN_SYNTAX = {
+    Implies: (1, " -> ", True),
+    Sequential: (1, " => ", True),
+    Or: (2, " or ", False),
+    And: (3, " and ", False),
+    Not: (_FROZEN_NOT, "not ", False),
+}
+_FROZEN_FIELDS = {
+    Unit: (),
+    Not: ("child",),
+    And: ("left", "right"),
+    Or: ("left", "right"),
+    Implies: ("left", "right"),
+    Sequential: ("left", "right"),
+}
+
+
+def format_rule_reference(expr: RuleExpr) -> str:
+    """``ruledict.dsl.format_rule`` as it was: one stack of text and
+    (node, parent level, strict) items, joined once."""
+    out = []
+    stack: list = [(expr, 0, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent, strict = item
+        if isinstance(node, Unit):
+            level = _FROZEN_ATOM
+        elif type(node) in _FROZEN_SYNTAX:
+            level, word, right_assoc = _FROZEN_SYNTAX[type(node)]
+        else:
+            raise TypeError(f"not a rule expression: {node!r}")
+        if level < parent or (strict and level == parent):
+            out.append("(")
+            stack.append(")")
+        if level == _FROZEN_ATOM:
+            out.append(f"select {node.rule.constraint.to_text()} of {{{','.join(node.rule.scope)}}}")
+        elif level == _FROZEN_NOT:
+            out.append(word)
+            stack.append((node.child, level, False))
+        else:
+            stack.append((node.right, level, not right_assoc))
+            stack.append(word)
+            stack.append((node.left, level, right_assoc))
+    return "".join(out)
+
+
+def _postorder_fold(root, children, visit):
+    """``ruledict.rules._fold`` as it was, which the frozen repr runs on."""
+    results: list = []
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend((kid, None) for kid in reversed(kids))
+                continue
+        first = len(results) - len(kids)
+        value = visit(node, results[first:])
+        del results[first:]
+        results.append(value)
+    return results[0]
+
+
+def rule_repr_reference(expr: RuleExpr) -> str:
+    """``RuleExpr.__repr__`` as it was: the opening text goes out when a
+    node's children are taken, the ")" when the node is visited, and the
+    text between two fields is a child of its own."""
+    out = []
+
+    def opening(item):
+        if isinstance(item, str):
+            out.append(item)
+            return ()
+        if type(item) is Unit:
+            out.append(f"Unit(rule={item.rule!r})")
+            return ()
+        first, *rest = _FROZEN_FIELDS[type(item)]
+        out.append(f"{type(item).__qualname__}({first}=")
+        kids = [getattr(item, first)]
+        for field in rest:
+            kids += [f", {field}=", getattr(item, field)]
+        return kids
+
+    def closing(item, _):
+        if isinstance(item, RuleExpr) and type(item) is not Unit:
+            out.append(")")
+
+    _postorder_fold(expr, opening, closing)
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
 # Random object generators. All driven by random.Random so runs are
 # reproducible from a seed.
 

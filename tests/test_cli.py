@@ -734,6 +734,18 @@ class TestEquivCommand:
         assert proc.stderr.startswith(b"error:")
 
 
+    @pytest.mark.parametrize("names", [["a,b", "c"], [" a", "b "]], ids=["comma", "edge-space"])
+    def test_names_only_json_can_hold(self, tmp_path, names):
+        # Rule 2 is read against rule 1's universe itself, not a re-split list of its names.
+        rule = tmp_path / "r.rule.json"
+        rule.write_text(json.dumps(
+            {"vars": names, "rule": {"op": "unit", "counts": [1], "scope": names[:1]}}))
+        proc = run_cli("equiv", "--rule", str(rule), "--rule2", str(rule))
+        assert proc.returncode == 0, proc.stderr.decode()
+        payload = json.loads(proc.stdout)
+        assert payload["equivalent"] is True and payload["universe"] == names
+
+
 class TestCheckCommand:
     def test_singleton_grouping_matches_free_selection(self):
         proc = run_cli(
@@ -952,6 +964,21 @@ class TestSelectCommand:
         with_bom = run_cli(*argv, "--data", str(bom))
         assert with_bom.returncode == plain.returncode == 0, with_bom.stderr.decode()
         assert with_bom.stdout == plain.stdout
+
+
+    @pytest.mark.parametrize("criterion", [["aic"], ["adjr2"], ["cv", "--folds", "3"]])
+    def test_outcome_whose_sum_of_squares_overflows(self, tmp_path, criterion):
+        # Finite cells near 1e160: their squares pass the float64 range.
+        rows = [f"{i % 3},{i % 2},{i % 5},{(-1) ** i * (1 + i / 10)}e160" for i in range(12)]
+        data = tmp_path / "big.csv"
+        data.write_text("A,B,C,Y\n" + "\n".join(rows) + "\n")
+        proc = run_cli(
+            "select", "--rule", f"{RULES}/one_or_two.rule",
+            "--data", str(data), "--outcome", "Y", "--criterion", *criterion,
+        )
+        assert proc.stdout == b""
+        _assert_one_error_line(proc.returncode, proc.stderr)
+        assert b"Warning" not in proc.stderr and b"'Y'" in proc.stderr
 
 
 def _select_streams(data, D, criterion, **kwargs):

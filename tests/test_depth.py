@@ -38,7 +38,7 @@ from ruledict.rules import (
     unit_dictionary,
 )
 
-from oracles import eval_masks
+from oracles import eval_masks, format_rule_reference, random_rule, rule_repr_reference
 from test_cli import run_cli
 
 DEEP = 20000
@@ -106,6 +106,28 @@ class TestProperties:
         assert eval_rule(u, parse_rule(text, u)) == d
 
 
+class TestFrozenText:
+    """Canonical text and repr keep the bytes of the frozen writers in ``oracles``.
+
+    ``parse(format(e)) == e`` holds for any unambiguous parenthesisation,
+    so it does not pin which parentheses are written; these tests do.
+    """
+
+    @given(universe_and_rules(sequential=True))
+    def test_hypothesis_trees(self, case):
+        _, expr = case
+        assert format_rule(expr) == format_rule_reference(expr)
+        assert repr(expr) == rule_repr_reference(expr)
+
+    def test_random_trees_of_mixed_precedence(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            u = make_universe(NAMES[: rng.randint(1, len(NAMES))])
+            expr = random_rule(rng, u, depth=6, allow_seq=True)
+            assert format_rule(expr) == format_rule_reference(expr)
+            assert repr(expr) == rule_repr_reference(expr)
+
+
 def _left_deep(kind, leaf, n):
     expr = leaf
     for _ in range(n - 1):
@@ -166,6 +188,13 @@ def test_deep_tree(ab, leaf, shape):
         # The leaf admits every subset, so every node of every shape does
         # (DEEP is even, so the nots cancel).
         assert eval_rule(ab, expr) == unit_dictionary(ab, leaf.rule) == powerset(ab)
+
+
+@pytest.mark.parametrize("shape", DEEP_TREES)
+def test_deep_text_matches_the_frozen_writers(leaf, shape):
+    expr = DEEP_TREES[shape](leaf)
+    assert format_rule(expr) == format_rule_reference(expr)
+    assert repr(expr) == rule_repr_reference(expr)
 
 
 def test_deep_parentheses_parse(ab, leaf):

@@ -13,7 +13,8 @@ from ruledict.rules import (
     Sequential,
     Unit,
     UnitRule,
-    _walk,
+    _children,
+    _preorder,
 )
 
 from oracles import random_rule
@@ -278,7 +279,7 @@ class TestFormat:
 
 class TestLongInputs:
     def count_units(self, expr):
-        return sum(1 for node in _walk(expr) if isinstance(node, Unit))
+        return sum(1 for node in _preorder(expr, _children) if isinstance(node, Unit))
 
     def test_flat_and_chain(self, abcd):
         n = 20000

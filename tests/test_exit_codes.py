@@ -8,8 +8,11 @@ dictionaries and groupings with a few random byte edits, plus edited
 ``cli.main`` in this process, some under the "error" warnings filter.
 A number of six or more digits can ask for a huge allocation, so the
 in-process test skips such inputs, and a second test runs huge count
-ranges in a child process with a capped address space. ``select`` and
-CSV input are not covered.
+ranges in a child process with a capped address space. ``select`` runs
+on the fixture CSVs with edited cells, rows, headers and encodings, and
+every criterion, fold count and seed kind; its stdout must be strict
+JSON, with no ``NaN`` or ``Infinity``. A rule that ``dict`` accepts must
+be equivalent to itself under ``equiv``.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ruledict import cli
@@ -58,13 +61,13 @@ MAX_ENUM = [None, "1", "4", "16", "0", "-3", "x", "1048576"]
 
 
 @st.composite
-def edited(draw, bases):
+def edited(draw, bases, fragments=FRAGMENTS):
     """One of ``bases`` with up to four deletions, insertions or replacements."""
     data = draw(st.sampled_from(bases))
     for _ in range(draw(st.integers(0, 4))):
         start = draw(st.integers(0, len(data)))
         end = start + draw(st.integers(0, 8))
-        insert = draw(st.sampled_from(FRAGMENTS + [b""]))
+        insert = draw(st.sampled_from(fragments + [b""]))
         data = data[:start] + insert + data[end:]
     return data
 
@@ -171,3 +174,114 @@ def test_in_a_child_with_capped_memory(workdir, case):
         env["RULEDICT_MAX_ENUM"] = max_enum
     proc = run_cli(*_write(workdir, argv, files), env_extra=env, address_space=256 * 2**20, timeout=60)
     assert_contract(proc.returncode, proc.stdout, proc.stderr)
+
+
+#: (rule file, the CSV whose columns it names).
+SELECT_INPUTS = [
+    ("rules/one_or_two.rule", "data/linear_abc.csv"),
+    ("rules/strong_heredity.rule", "data/interaction_signal.csv"),
+    ("rules/strong_heredity.rule.json", "data/interaction_signal.csv"),
+]
+#: Written over one cell, header cells included: non-finite, huge and empty
+#: values, names that duplicate or drop a column, a 200,000-character cell.
+CELLS = [
+    b"nan", b"inf", b"-inf", b"1e160", b"-1e160", b"1e308", b"-1e308", b"", b" ", b"NA",
+    b"x", b"\x00", b"7" * 200_000, b"A", b"Y", b"B1", b"0", b"1e-320",
+]
+#: Inserted by the byte edits: separators that make ragged or blank rows,
+#: quotes, and bytes that do not decode.
+CSV_FRAGMENTS = [
+    b",", b",,", b"\n", b"\n\n", b"\r\n", b"\n,\n", b'"', b"\x00", b"\xff", b"\xef\xbb\xbf",
+    b"1e308", b"nan", b"-",
+]
+#: What an invocation may get wrong; each draws up to three of them, so
+#: many runs reach the fits.
+FAULTS = ["cells", "bytes", "encoding", "outcome", "flags", "max_enum"]
+
+
+@st.composite
+def edited_csv(draw, base, faults):
+    """``base`` with cells overwritten, byte edits and a re-encoding, as ``faults`` ask."""
+    lines = base.split(b"\n")
+    for _ in range(draw(st.integers(1, 3)) if "cells" in faults else 0):
+        # Often the header or the first rows, which every file has.
+        row = draw(st.integers(0, 3) | st.integers(0, len(lines) - 1))
+        cells = lines[row].split(b",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(CELLS))
+        lines[row] = b",".join(cells)
+    data = b"\n".join(lines)
+    if "bytes" in faults:
+        data = draw(edited([data], CSV_FRAGMENTS))
+    if "encoding" in faults:
+        encoding = draw(st.sampled_from(["utf-8-sig", "utf-16"]))
+        data = data.decode("utf-8", "replace").encode(encoding)
+    return data
+
+
+@st.composite
+def select_invocations(draw):
+    """A ``select`` invocation, in the form :func:`invocations` gives."""
+    rule, data = draw(st.sampled_from(SELECT_INPUTS))
+    faults = draw(st.sets(st.sampled_from(FAULTS), max_size=3))
+    rule_name = "s.rule.json" if rule.endswith(".json") else "s.rule"
+    files = {rule_name: _fixture(rule), "s.csv": draw(edited_csv(_fixture(data), faults))}
+    criterion = draw(st.sampled_from(["aic", "bic", "adjr2", "cv"]))
+    outcome = draw(st.sampled_from(["A", "Z", "B1"])) if "outcome" in faults else "Y"
+    argv = ["select", "--rule", f"@{rule_name}", "--data", "@s.csv", "--outcome", outcome,
+            "--criterion", criterion]
+    # cv needs --folds; with "flags", either flag may come or go on any criterion.
+    if draw(st.booleans()) if "flags" in faults else criterion == "cv":
+        argv.append(f"--folds={draw(st.sampled_from([0, 1, 2, 5, 100_000]))}")
+    if ("flags" in faults or criterion == "cv") and draw(st.booleans()):
+        argv.append(f"--seed={draw(st.sampled_from([-1, 0, 3, 2 ** 70]))}")
+    max_enum = draw(st.sampled_from(MAX_ENUM)) if "max_enum" in faults else None
+    return argv, files, max_enum, draw(st.booleans())
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def _big_outcome(criterion):
+    """One of :func:`select_invocations`: an outcome whose sum of squares overflows float64."""
+    rows = [f"{i % 3},{i % 2},{i % 5},{(-1) ** i * (1 + i / 10)}e160" for i in range(12)]
+    files = {
+        "s.rule": _fixture("rules/one_or_two.rule"),
+        "s.csv": ("A,B,C,Y\n" + "\n".join(rows) + "\n").encode(),
+    }
+    argv = ["select", "--rule", "@s.rule", "--data", "@s.csv", "--outcome", "Y", "--criterion", criterion]
+    return argv, files, None, False
+
+
+@settings(max_examples=300)
+@given(select_invocations())
+@example(_big_outcome("aic"))
+@example(_big_outcome("adjr2"))
+def test_select_in_process(workdir, case):
+    argv, files, max_enum, warnings_as_errors = case
+    code, stdout, stderr = run_main(_write(workdir, argv, files), max_enum, warnings_as_errors)
+    assert_contract(code, stdout, stderr)
+    if code != 2:
+        json.loads(stdout, parse_constant=_no_constant)
+
+
+COMMA_NAMES = json.dumps(
+    {"vars": ["a,b", " c"], "rule": {"op": "unit", "counts": [1], "scope": ["a,b", " c"]}}
+).encode()
+
+
+@settings(max_examples=150)
+@given(
+    st.tuples(st.just("r.rule"), edited(RULES)) | st.tuples(st.just("r.rule.json"), edited(JSON_RULES)),
+    st.sampled_from([[]] + [[f"--vars={v}"] for v in VARS]),
+)
+@example(("r.rule.json", COMMA_NAMES), [])
+def test_a_rule_dict_accepts_is_equivalent_to_itself(workdir, rule, flags):
+    name, data = rule
+    assume(not _has_long_number(flags, {name: data}))
+    argv = _write(workdir, ["dict", "--rule", f"@{name}", *flags], {name: data})
+    if run_main(argv, None, False)[0] != 0:
+        return
+    code, stdout, stderr = run_main(["equiv", *argv[1:3], "--rule2", argv[2], *flags], None, False)
+    assert code == 0, stderr.decode()
+    assert json.loads(stdout)["equivalent"] is True
