@@ -23,6 +23,7 @@ import math
 import os
 import re
 import sys
+from functools import lru_cache
 
 from .core import (
     DEFAULT_MAX_ENUM,
@@ -117,8 +118,9 @@ def _write_dictionary(write, d: Dictionary) -> None:
 
     Each name is encoded once. An entry's text joins the name block of its
     low half mask with that of its high half. :meth:`Dictionary.halves`
-    reads the runs of one high half straight from the storage; a run, cut
-    at :data:`_WRITE_BATCH` entries, is one ``join`` over low-half blocks,
+    reads the runs of one high half straight from the storage, and the
+    ``2**14 >> k`` runs last used keep their list of low-half blocks. A
+    run, cut at :data:`_WRITE_BATCH` entries, is one ``join`` over its list,
     and text goes out about a batch at a time.
     """
     if not d:
@@ -127,17 +129,19 @@ def _write_dictionary(write, d: Dictionary) -> None:
     names = [f",\n      {json.dumps(name)}" for name in d.universe.names]
     k = (len(names) + 1) // 2
     heads, high_names = _Heads(names[:k]), names[k:]
+    blocks = lru_cache((1 << 14) >> k)(lambda lows: [*map(heads.__getitem__, lows)])
     parts, sep, pending = [], "[\n    ", 0
     for high, lows in d.halves(k):
         tail = "".join([name for i, name in enumerate(high_names) if high >> i & 1]) + "\n    ]"
+        run_blocks = blocks(lows)
         for start in range(0, len(lows), _WRITE_BATCH):
-            run = lows[start:start + _WRITE_BATCH]
+            run = run_blocks[start:start + _WRITE_BATCH]
             pending += len(run)
-            if not run[0]:  # the high half's names alone
+            if not lows[start]:  # the high half's names alone
                 parts.append("[" + tail[1:] if high else "[]")
                 run = run[1:]
             if run:
-                parts.append((tail + ",\n    ").join(map(heads.__getitem__, run)) + tail)
+                parts.append((tail + ",\n    ").join(run) + tail)
             if pending >= _WRITE_BATCH:
                 write(sep + ",\n    ".join(parts))
                 parts, sep, pending = [], ",\n    ", 0

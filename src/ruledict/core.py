@@ -16,10 +16,10 @@ All types are immutable; operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import accumulate, combinations, repeat
 from operator import and_, attrgetter, itemgetter, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateVariable,
@@ -373,24 +373,26 @@ class Dictionary:
     def __iter__(self) -> Iterator[VarSet]:
         return iter(self.entries)
 
-    def halves(self, k: int) -> Iterator[tuple[int, Sequence[int]]]:
+    def halves(self, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Each high half ``h`` present (``m >> k``), ascending, with the ascending low halves of its entries.
 
         For ``k >= 3`` a bitmap's runs are read from their own bytes, empty ones
-        skipped; a mask tuple, or runs under a byte, are cut by bisection.
+        skipped, and the ``2**14 >> k`` runs last used stay decoded, so equal
+        runs give one tuple; a mask tuple, or runs under a byte, are cut by bisection.
         """
         if not self._bitmap or k < 3:
             masks, low, start = self.masks(), (1 << k) - 1, 0
             while start < len(masks):
                 high = masks[start] >> k
                 end = bisect_left(masks, (high + 1) << k, start)
-                yield high, [*map(and_, masks[start:end], repeat(low))]
+                yield high, tuple(map(and_, masks[start:end], repeat(low)))
                 start = end
             return
         view, width = memoryview(self._data.to_bytes(((1 << self.universe.size) + 7) // 8, "little")), 1 << (k - 3)
+        decode = lru_cache((1 << 14) >> k)(_bit_positions)
         for high, i in enumerate(range(0, len(view), width)):
             if bits := int.from_bytes(view[i:i + width], "little"):
-                yield high, _bit_positions(bits)
+                yield high, decode(bits)
 
     def __contains__(self, v: VarSet) -> bool:
         if self._bitmap:

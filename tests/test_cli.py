@@ -552,6 +552,77 @@ class TestDictionaryWriter:
         for n, masks in ((8, masks8), (21, set(map(lift, masks8)))):
             self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, batch)
 
+    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("high_zero", [True, False], ids=["with-high-half-0", "without-high-half-0"])
+    @pytest.mark.parametrize("low_zero", [True, False], ids=["with-low-half-0", "without-low-half-0"])
+    @pytest.mark.parametrize("n", [16, 20, 21, 26])
+    def test_repeated_runs(self, monkeypatch, n, low_zero, high_zero, batch):
+        """Five low-half patterns, each repeated under several high halves; two outgrow a batch at 26 variables."""
+        k, rng = (n + 1) // 2, random.Random(n)
+        patterns = [set(rng.sample(range(1 << k), min(size, 1 << k))) for size in (1, 3, 150, 900, 5000)]
+        for lows in patterns:
+            (lows.add if low_zero else lows.discard)(0)
+        highs = [0] * high_zero + rng.sample(range(1, 1 << (n - k)), 15)
+        masks = {h << k | low for h in highs for low in rng.choice(patterns)}
+        self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, batch)
+
+    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("n", [20, 26])
+    def test_runs_repeating_after_the_kept_runs_are_dropped(self, monkeypatch, n, batch):
+        """24 patterns of 1,000 entries in turn: more than are kept, so each is seen again after being dropped."""
+        k, rng = (n + 1) // 2, random.Random(n)
+        patterns = [rng.sample(range(1 << k), 1000) for _ in range(24)]
+        masks = {h << k | low for i, h in enumerate(range(0, 48 << (n - k - 6), 1 << (n - k - 6)))
+                 for low in patterns[i % 24]}
+        self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, batch)
+
+    def test_each_distinct_run_is_decoded_once(self, monkeypatch):
+        """The cap rule's 1,024 runs hold 11 distinct ones; a 16-variable rule decodes each distinct run once."""
+        from ruledict import cli, core
+
+        calls = []
+        decode = core._bit_positions
+        monkeypatch.setattr(core, "_bit_positions", lambda bits: calls.append(bits) or decode(bits))
+        u = make_universe([f"v{i}" for i in range(20)])
+        cli._write_dictionary(lambda text: None, Dictionary.of_counts(u, u.full_mask, range(11)))
+        assert len(calls) == 11
+        names = [f"v{i}" for i in range(16)]
+        u = make_universe(names)
+        d = eval_rule(u, parse_rule("(select {0,2} of {v0,v1,v2,v9} and select {1} of {v3,v10,v11})"
+                                    " or not select {2,3} of {v5,v12,v13}", u))
+        runs = {}
+        for m in d.masks():
+            runs.setdefault(m >> 8, []).append(m & 255)
+        distinct = {tuple(lows) for lows in runs.values()}
+        assert 1 < len(distinct) < len(runs)
+        calls.clear()
+        cli._write_dictionary(lambda text: None, d)
+        assert len(calls) == len(distinct)
+
+    def test_runs_that_never_repeat(self, monkeypatch):
+        """1,024 distinct runs over 20 variables: the text is ``json.dumps``, and the kept runs cost under 0.5 MB.
+
+        The reference is the peak of a family of the same size whose runs
+        all repeat one pattern, so that keeps only one run.
+        """
+        import tracemalloc
+
+        from ruledict import cli
+
+        names, rng = [f"v{i}" for i in range(20)], random.Random(20)
+        runs = [rng.sample(range(1024), 64) for _ in range(1024)]
+        assert len({frozenset(lows) for lows in runs}) == 1024
+        distinct = {h << 10 | low for h, lows in enumerate(runs) for low in lows}
+        self._check(monkeypatch, names, distinct)
+        peaks = []
+        for masks in ({h << 10 | low for h in range(1024) for low in runs[0]}, distinct):
+            d = Dictionary.from_masks(make_universe(names), masks)
+            tracemalloc.start()
+            cli._write_dictionary(lambda text: None, d)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
+
     @staticmethod
     def _check(monkeypatch, names, masks, batch=None):
         """The written text is ``json.dumps`` of the family, written in batches of under two batches' entries."""
