@@ -560,13 +560,7 @@ class Dictionary:
         UnknownVariable
             If an entry names a covariate outside ``universe``.
         """
-        masks = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            masks.append(parse_braced_names(universe, line, where=f"line {lineno}").mask)
-        return cls.from_masks(universe, masks)
+        return cls.from_masks(universe, (v.mask for v in read_brace_lines(universe, text)))
 
     @classmethod
     def from_json_obj(cls, universe: Universe, obj) -> "Dictionary":
@@ -636,6 +630,15 @@ def parse_braced_names(universe: Universe, text: str, where: str = "") -> VarSet
     if any(not n for n in names):
         raise ParseError(f"empty name in set{ctx}: {text!r}")
     return VarSet.of_names(universe, names)
+
+
+def read_brace_lines(universe: Universe, text: str) -> Iterator[VarSet]:
+    """The sets of a line-per-set brace text, in order; blank lines and
+    ``#`` comments are skipped, and a parse error names its line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield parse_braced_names(universe, line, f"line {lineno}")
 
 
 class ConstraintSet(Record):

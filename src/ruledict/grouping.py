@@ -24,7 +24,7 @@ from .core import (
     Record,
     Universe,
     VarSet,
-    parse_braced_names,
+    read_brace_lines,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -44,8 +44,6 @@ class GroupingStructure(Record):
     groups: tuple[VarSet, ...]
 
     def __post_init__(self):
-        if not self.groups:
-            raise InvalidGrouping("a grouping needs at least one group")
         seen = set()
         union = 0
         for g in self.groups:
@@ -84,13 +82,7 @@ class GroupingStructure(Record):
 
     @classmethod
     def from_text(cls, u: Universe, text: str) -> "GroupingStructure":
-        groups = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            groups.append(parse_braced_names(u, line, "grouping entry"))
-        return cls(u, tuple(groups))
+        return cls(u, tuple(read_brace_lines(u, text)))
 
     @classmethod
     def from_json_obj(cls, u: Universe, obj) -> "GroupingStructure":

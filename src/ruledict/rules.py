@@ -301,11 +301,6 @@ def combine(
     return powerset(u, max_entries).difference(d1).union(d2)
 
 
-def sequential_restrict(d2: Dictionary, stage: StageResult) -> Dictionary:
-    """Entries of the second-stage dictionary contained in the first-stage outcome."""
-    return d2.within(stage.chosen)
-
-
 def _check_sequential_scopes(d1: Dictionary, d2: Dictionary, stacklevel: int) -> None:
     s1, s2 = dictionary_support(d1), dictionary_support(d2)
     if s1 != s2:
@@ -365,7 +360,7 @@ def eval_rule(
         # After the stage checks, so a failed call warns nothing. Reported
         # from the caller of eval_rule, past visit and _fold.
         _check_sequential_scopes(d1, d2, stacklevel=5)
-        return sequential_restrict(d2, stage)
+        return d2.within(stage.chosen)
 
     return _fold(expr, _children, visit)
 
@@ -382,7 +377,7 @@ def stage_outcomes(
     d1 = eval_rule(u, expr.left, max_entries=max_entries)
     d2 = eval_rule(u, expr.right, max_entries=max_entries)
     _check_sequential_scopes(d1, d2, stacklevel=3)
-    return [(m, sequential_restrict(d2, StageResult(m))) for m in d1]
+    return [(m, d2.within(m)) for m in d1]
 
 
 def sequential_nodes(expr: RuleExpr) -> list[Sequential]:

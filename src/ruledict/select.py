@@ -266,8 +266,8 @@ def _cv_blocks(Z: np.ndarray, y: np.ndarray, folds: int, seed: int | None) -> li
     return blocks
 
 
-#: Models per chunk: the unit of work a process claims, and that this
-#: process re-runs when a worker does not deliver it.
+#: Models per chunk: the unit of work a process claims and stores, and
+#: that this process re-runs when no process stored it.
 _CHUNK = 64
 
 
@@ -301,7 +301,7 @@ def _claims(queue: int):
 
 
 def _publish(shared: mmap.mmap, start: int, flat: list[float], done: int) -> None:
-    """Write a worker's results for one chunk at byte ``start``, then mark it done."""
+    """Write one chunk's results at byte ``start``, then mark it done."""
     struct.pack_into(f"{len(flat)}d", shared, start, *flat)
     shared[done] = 1
 
@@ -311,12 +311,13 @@ def _run_chunks(run, masks: tuple[int, ...]) -> list[float]:
 
     ``run`` maps masks to a flat list of ``2 + popcount`` floats per mask.
     One worker is forked per usable CPU beyond the first, and this
-    process claims chunks as well. Workers write exact floats into one
-    shared block, at places fixed by chunk index, and leave by
-    ``os._exit`` without writing to stdout or stderr. A chunk that no
-    worker delivered is run here, in mask order, so an error is the one
-    ``run(masks)`` raises. Without fork, with one usable CPU or chunk, or
-    while another thread runs in this process, this is ``run(masks)``.
+    process claims chunks as well. Every process stores each chunk it
+    runs in one shared block, as exact floats at places fixed by chunk
+    index; workers leave by ``os._exit`` without writing to stdout or
+    stderr. A chunk that no process stored is run here, in mask order, so
+    an error is the one ``run(masks)`` raises. Without fork, with one
+    usable CPU or chunk, or while another thread runs in this process,
+    this is ``run(masks)``.
     """
     chunks = [masks[i:i + _CHUNK] for i in range(0, len(masks), _CHUNK)]
     procs = min(_usable_cpus(), len(chunks))
@@ -326,8 +327,11 @@ def _run_chunks(run, masks: tuple[int, ...]) -> list[float]:
     ends = list(itertools.accumulate(sum(2 + m.bit_count() for m in c) for c in chunks))
     starts = [0, *ends[:-1]]
     done_at = 8 * ends[-1]  # a done byte per chunk follows the floats
-    results: list[list[float] | None] = [None] * len(chunks)
     with mmap.mmap(-1, done_at + len(chunks)) as shared:
+
+        def store(c: int) -> None:
+            _publish(shared, 8 * starts[c], run(chunks[c]), done_at + c)
+
         queue = os.memfd_create("ruledict-chunks")
         pids = []
         try:
@@ -343,15 +347,15 @@ def _run_chunks(run, masks: tuple[int, ...]) -> list[float]:
                 if pid == 0:
                     try:
                         for c in _claims(queue):
-                            _publish(shared, 8 * starts[c], run(chunks[c]), done_at + c)
+                            store(c)
                     finally:
                         os._exit(0)
                 pids.append(pid)
-            for c in _claims(queue):
-                try:
-                    results[c] = run(chunks[c])
-                except Exception:
-                    break  # raised again below, unless an earlier chunk fails first
+            try:
+                for c in _claims(queue):
+                    store(c)
+            except Exception:
+                pass  # raised again below, unless an earlier chunk fails first
         finally:
             # Empty the queue, so each worker stops after its current chunk.
             for _ in _claims(queue):
@@ -359,16 +363,10 @@ def _run_chunks(run, masks: tuple[int, ...]) -> list[float]:
             os.close(queue)
             for pid in pids:
                 os.waitpid(pid, 0)
-        flat = []
-        for c, chunk in enumerate(chunks):
-            if results[c] is None:
-                if shared[done_at + c]:
-                    count = ends[c] - starts[c]
-                    results[c] = list(struct.unpack_from(f"{count}d", shared, 8 * starts[c]))
-                else:
-                    results[c] = run(chunk)
-            flat += results[c]
-    return flat
+        for c in range(len(chunks)):
+            if not shared[done_at + c]:
+                store(c)
+        return list(struct.unpack_from(f"{ends[-1]}d", shared))
 
 
 def select_best(
@@ -393,8 +391,10 @@ def select_best(
     while no other thread runs here. A BLAS thread pool counts as such a
     thread, so the fits are forked out only when numpy was loaded with
     one BLAS thread (``OPENBLAS_NUM_THREADS=1``, as the ``select``
-    command sets it). The ranking is the same bits on any CPU count, and
-    an error is the one the first failing model in mask order raises.
+    command sets it). Every process stores the chunks it fits in one
+    shared block, and the ranking is read from that block: the same bits
+    on any CPU count. An error is the one the first failing model in
+    mask order raises.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")

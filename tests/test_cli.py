@@ -836,6 +836,30 @@ class TestCheckCommand:
         payload = json.loads(proc.stdout)
         assert "rule_family" not in payload
 
+    def test_grouping_text_error_names_its_line(self, tmp_path):
+        # A grouping file and a dictionary file are read the same way.
+        path = tmp_path / "bad.groups"
+        path.write_text("{A}\n# {B}\nA,B\n")
+        error = b"error: expected a brace-delimited set at line 3, got 'A,B'\n"
+        proc = run_cli("check", "--rule", f"{RULES}/group_pairs.rule", "--grouping", str(path),
+                       "--method", "log")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", error)
+        proc = run_cli("from-dict", "--dict", str(path), "--vars", "A,B,C,D")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", error)
+
+    @pytest.mark.parametrize("method", ["log", "ogl"])
+    def test_no_groups_on_the_empty_universe(self, tmp_path, method):
+        rule = tmp_path / "empty.rule"
+        rule.write_text("select {0} of {}\n")
+        grouping = tmp_path / "empty.groups"
+        grouping.write_text("")
+        proc = run_cli("check", "--rule", str(rule), "--vars", ",", "--grouping", str(grouping),
+                       "--method", method)
+        assert proc.returncode == 0, proc.stderr.decode()
+        payload = json.loads(proc.stdout)
+        assert payload["congruent"] is True
+        assert payload["missing"] == [] and payload["extra"] == []
+
     def test_bad_method_choice(self):
         proc = run_cli(
             "check", "--rule", f"{RULES}/group_pairs.rule",
@@ -869,6 +893,15 @@ class TestSynthesizeCommand:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert json.loads(proc.stdout)["congruent"] is True
+
+    def test_empty_universe(self, tmp_path):
+        # The dictionary {∅} holds ∅ and the full universe and is union-closed:
+        # the grouping with no groups generates it.
+        rule = tmp_path / "empty.rule"
+        rule.write_text("select {0} of {}\n")
+        proc = run_cli("synthesize", "--rule", str(rule), "--vars", ",")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert json.loads(proc.stdout) == {"universe": [], "rule": "select {0} of {}", "groups": []}
 
     def test_twenty_one_variables(self, tmp_path):
         # 2**20 entries in a mask tuple: a pairwise closedness test compares 5.5e11 pairs.

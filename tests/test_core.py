@@ -213,19 +213,24 @@ class TestDictionary:
             Dictionary.from_text(abc, "{A,Z}")
 
 
+def _family(draw, u):
+    mask = st.integers(0, u.full_mask)
+    if not draw(st.booleans()):
+        return draw(st.sets(mask, max_size=40))
+    closure = closure_by_sets(draw(st.lists(mask, min_size=1, max_size=5)), 2 ** 20)
+    return closure ^ draw(st.sets(mask, max_size=2))
+
+
 @st.composite
-def families(draw):
-    """A family on one side of the storage boundary: 5 variables (bitmap) or 21 (mask tuple).
+def families(draw, count=1):
+    """``count`` families on one universe on either side of the storage
+    boundary: 5 variables (bitmap), 21 or 64 (mask tuple).
 
     Half the draws are the union closure of a few groups, with up to two
     masks toggled, so closed and non-closed families both occur.
     """
-    u = make_universe([f"v{i}" for i in range(draw(st.sampled_from([5, 21])))])
-    mask = st.integers(0, u.full_mask)
-    if not draw(st.booleans()):
-        return u, draw(st.sets(mask, max_size=40))
-    closure = closure_by_sets(draw(st.lists(mask, min_size=1, max_size=5)), 2 ** 20)
-    return u, closure ^ draw(st.sets(mask, max_size=2))
+    u = make_universe([f"v{i}" for i in range(draw(st.sampled_from([5, 21, 64])))])
+    return (u, *(_family(draw, u) for _ in range(count)))
 
 
 class TestStorageMethods:
@@ -252,6 +257,19 @@ class TestStorageMethods:
             # Irreducible entries only, and every one up to the first failing entry.
             assert set(generators.masks()) <= set(irreducible)
             assert gap is None or {m for m in irreducible if m <= gap[0]} <= set(generators.masks())
+
+    @given(families(count=2))
+    def test_set_algebra(self, case):
+        u, a, b = case
+        da, db = Dictionary.from_masks(u, a), Dictionary.from_masks(u, b)
+        assert da.union(db).masks() == tuple(sorted(a | b))
+        assert da.intersection(db).masks() == tuple(sorted(a & b))
+        assert da.difference(db).masks() == tuple(sorted(a - b))
+        for m in a | b | {0, u.full_mask}:
+            assert (VarSet(u, m) in da) == (m in a)
+        again = Dictionary(u, [VarSet(u, m) for m in sorted(a, reverse=True)])
+        assert again == da and hash(again) == hash(da)
+        assert (da == db) == (a == b)
 
     @given(families(), st.integers(0, 22))
     def test_halves(self, case, k):

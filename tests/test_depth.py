@@ -16,12 +16,12 @@ import random
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ruledict.core import ConstraintSet, Dictionary, VarSet, make_universe, powerset
 from ruledict.dsl import format_rule, parse_rule
-from ruledict.errors import MissingStageResult
+from ruledict.errors import EnumerationTooLarge, MissingStageResult
 from ruledict.rules import (
     And,
     Implies,
@@ -35,6 +35,7 @@ from ruledict.rules import (
     expr_from_json_obj,
     expr_to_json_obj,
     rule_from_dictionary,
+    rules_equivalent,
     unit_dictionary,
 )
 
@@ -105,6 +106,29 @@ class TestProperties:
         text = format_rule(rule_from_dictionary(u, d))
         assert eval_rule(u, parse_rule(text, u)) == d
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=EnumerationTooLarge,
+        reason="every unit is built over the whole universe before 'and' intersects it, "
+        "so each coherent unit of R leaves at least 21 variables free and passes the cap",
+    )
+    # One failure is expected, so no report of several and no explain phase,
+    # which would only annotate it and takes seconds.
+    @settings(max_examples=25, report_multiple_bugs=False,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @given(universe_and_rules(), st.integers(29, 64))
+    def test_rule_lifted_to_a_wide_universe(self, case, width):
+        # R over u, lifted to u2 = u plus a block W of fresh variables, all of
+        # which must be selected: the dictionary is R's with W joined to each entry.
+        u, expr = case
+        fresh = [f"W{i}" for i in range(width - u.size)]
+        u2 = make_universe([*u.names, *fresh])
+        w = VarSet.of_names(u2, fresh)
+        lifted = And(parse_rule(format_rule(expr), u2),
+                     Unit(UnitRule(w, ConstraintSet.of(len(fresh)))))
+        want = tuple(sorted(m | w.mask for m in eval_masks(u, expr)))
+        assert eval_rule(u2, lifted).masks() == want
+        assert rules_equivalent(u2, lifted, lifted)
 
 class TestFrozenText:
     """Canonical text and repr keep the bytes of the frozen writers in ``oracles``.

@@ -12,6 +12,7 @@ from ruledict.errors import (
     EnumerationTooLarge,
     IncompatibleGrouping,
     InvalidGrouping,
+    ParseError,
     SynthesisFailure,
     UseClosureInstead,
 )
@@ -70,6 +71,13 @@ class TestGroupingStructure:
         with pytest.raises(InvalidGrouping):
             GroupingStructure(abcd, ())
 
+    def test_no_groups_cover_only_the_empty_universe(self, abcd):
+        empty = make_universe([])
+        assert GroupingStructure(empty, ()).masks() == ()
+        assert GroupingStructure.from_text(empty, "# no groups\n") == GroupingStructure(empty, ())
+        with pytest.raises(InvalidGrouping, match="groups do not cover {A,B,C,D}"):
+            GroupingStructure(abcd, ())
+
     def test_empty_group(self, abcd):
         with pytest.raises(InvalidGrouping):
             GroupingStructure(abcd, (VarSet.empty(abcd), VarSet.full(abcd)))
@@ -93,6 +101,12 @@ class TestGroupingStructure:
         assert text == "{A}\n{B,C}\n{D}"
         again = GroupingStructure.from_text(abcd, "# groups\n" + text + "\n")
         assert again == g
+
+    def test_text_errors_name_their_line(self, abcd):
+        with pytest.raises(ParseError, match="^expected a brace-delimited set at line 3, got 'A,B'$"):
+            GroupingStructure.from_text(abcd, "{A}\n# {B}\nA,B\n{C,D}\n")
+        with pytest.raises(ParseError, match="^empty name in set at line 2: '{B,}'$"):
+            GroupingStructure.from_text(abcd, "{A}\n  {B,} # trailing comma\n")
 
     def test_json_round_trip(self, abcd):
         g = grouping(abcd, ["A", "B"], ["C", "D"])

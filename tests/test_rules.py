@@ -32,7 +32,6 @@ from ruledict.rules import (
     rule_from_dictionary,
     rules_equivalent,
     sequential_nodes,
-    sequential_restrict,
     stage_outcomes,
     unit_dictionary,
 )
@@ -162,19 +161,21 @@ class TestCombine:
 
 
 class TestSequentialRestrict:
+    """What a sequential rule keeps of its second stage: the entries within the outcome."""
+
     def test_full_outcome_keeps_everything(self, abcd):
         d2 = Dictionary.from_masks(abcd, [0, 3, 12])
-        assert sequential_restrict(d2, StageResult(VarSet.full(abcd))) == d2
+        assert d2.within(VarSet.full(abcd)) == d2
 
     def test_empty_outcome(self, abcd):
         with_empty = Dictionary.from_masks(abcd, [0, 3])
         without = Dictionary.from_masks(abcd, [3, 12])
-        assert sequential_restrict(with_empty, StageResult(VarSet.empty(abcd))).masks() == (0,)
-        assert len(sequential_restrict(without, StageResult(VarSet.empty(abcd)))) == 0
+        assert with_empty.within(VarSet.empty(abcd)).masks() == (0,)
+        assert len(without.within(VarSet.empty(abcd))) == 0
 
     def test_membership_by_containment(self, abcd):
         d2 = Dictionary.from_masks(abcd, [0b0010, 0b0011, 0b1000, 0b1010, 0b1111])
-        kept = sequential_restrict(d2, StageResult(VarSet.of_names(abcd, ["A", "B"])))
+        kept = d2.within(VarSet.of_names(abcd, ["A", "B"]))
         assert kept.masks() == (0b0010, 0b0011)
 
 

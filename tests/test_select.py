@@ -561,8 +561,11 @@ class TestForkedWorkers:
         assert capfd.readouterr() == ("", "")
 
     def test_undelivered_chunks_are_rerun(self, two_processes, monkeypatch):
-        # A worker leaves after fitting its first chunk, before writing it back.
-        monkeypatch.setattr(ruledict.select, "_publish", lambda *args: os._exit(0))
+        # A worker leaves after fitting its first chunk, before writing it back;
+        # this process stores its chunks as usual.
+        caller, publish = os.getpid(), ruledict.select._publish
+        monkeypatch.setattr(ruledict.select, "_publish",
+                            lambda *args: publish(*args) if os.getpid() == caller else os._exit(0))
         u = make_universe([f"x{i}" for i in range(10)])
         d = _seeded_dataset(u, 60, 37)
         for criterion, folds in (("aic", None), ("cv", 5)):
