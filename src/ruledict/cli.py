@@ -17,13 +17,12 @@ diagnostics go to standard error. The environment variable
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import math
 import os
 import re
 import sys
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .core import (
     DEFAULT_MAX_ENUM,
@@ -65,23 +64,17 @@ _DOMAIN_ERRORS = (
 )
 
 
-#: Names bound on first access from the modules only some commands use
-#: (PEP 562): ``.grouping`` for ``check`` and ``synthesize``, and
-#: ``.select``, which imports numpy, for ``select``.
-_LAZY = {
-    ".grouping": ("GroupingStructure", "check_log_congruence", "check_ogl_necessary",
-                  "synthesize_log_grouping"),
-    ".select": ("load_dataset", "select_best"),
-}
-
-
 def __getattr__(name: str):
-    """Bind ``name`` from its module of :data:`_LAZY`, importing that module."""
-    for module, names in _LAZY.items():
-        if name in names:
-            value = globals()[name] = getattr(importlib.import_module(module, __package__), name)
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Bind a name that :data:`ruledict._LAZY` lists, loading its module (PEP 562).
+
+    ``.grouping`` loads for ``check`` and ``synthesize`` only, and
+    ``.select``, which imports numpy, for ``select`` only.
+    """
+    package = sys.modules[__package__]
+    if not any(name in names for names in package._LAZY.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
 
 
 def _error_tag(exc: Exception) -> str:
@@ -128,8 +121,17 @@ def _write_dictionary(write, d: Dictionary) -> None:
         return
     names = [f",\n      {json.dumps(name)}" for name in d.universe.names]
     k = (len(names) + 1) // 2
-    heads, high_names = _Heads(names[:k]), names[k:]
-    blocks = lru_cache((1 << 14) >> k)(lambda lows: [*map(heads.__getitem__, lows)])
+    low_names, high_names = names[:k], names[k:]
+
+    @cache
+    def head(low: int) -> str:
+        """``[`` and the names in ``low`` less the first comma, made on first use.
+
+        A table of all ``2**k`` low halves would not fit at 64 variables.
+        """
+        return "[" + "".join([name for i, name in enumerate(low_names) if low >> i & 1])[1:]
+
+    blocks = lru_cache((1 << 14) >> k)(lambda lows: [*map(head, lows)])
     parts, sep, pending = [], "[\n    ", 0
     for high, lows in d.halves(k):
         tail = "".join([name for i, name in enumerate(high_names) if high >> i & 1]) + "\n    ]"
@@ -148,20 +150,6 @@ def _write_dictionary(write, d: Dictionary) -> None:
     if parts:
         write(sep + ",\n    ".join(parts))
     write("\n  ]")
-
-
-class _Heads(dict):
-    """``[`` and a low half's names less the first comma, built when first asked for.
-
-    A table of all ``2**k`` low halves would not fit at 64 variables.
-    """
-
-    def __init__(self, names: list[str]) -> None:
-        self.names = names
-
-    def __missing__(self, low: int) -> str:
-        head = self[low] = "[" + "".join([name for i, name in enumerate(self.names) if low >> i & 1])[1:]
-        return head
 
 
 def _write_ranking(u: Universe, ranked) -> None:

@@ -296,14 +296,15 @@ def read_rule_document(text: str, universe: Universe | None = None) -> tuple[Uni
     """Parse a rule file: optional ``vars:`` preamble, then one rule.
 
     A supplied ``universe`` wins over the preamble. Without either, there
-    is nothing to resolve names against and parsing fails.
+    is nothing to resolve names against and parsing fails. Spans are byte
+    offsets into the whole of ``text``.
     """
-    lines = text.split("\n")
-    body_start = 0
+    preamble = start = 0  # characters up to the rule, and up to the current line
     declared = None
-    for i, line in enumerate(lines):
+    for line in text.split("\n"):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
+            start += len(line) + 1
             continue
         m = _VARS_RE.match(stripped)
         if m:
@@ -311,11 +312,11 @@ def read_rule_document(text: str, universe: Universe | None = None) -> tuple[Uni
             if not names:
                 raise ParseError(
                     "empty vars declaration",
-                    span=SourceSpan(0, len(line.encode("utf-8"))),
+                    span=_byte_span(text, start, start + len(line)),
                     expected=["at least one variable name"],
                 )
             declared = make_universe(names)
-            body_start = i + 1
+            preamble = start + len(line) + 1
         break
     if universe is None:
         universe = declared
@@ -325,7 +326,8 @@ def read_rule_document(text: str, universe: Universe | None = None) -> tuple[Uni
             span=SourceSpan(0, 0),
             expected=["'vars:' preamble"],
         )
-    body = "\n".join(lines[body_start:])
+    # The preamble as one space per byte, so the rule's spans count from the document's start.
+    body = " " * len(text[:preamble].encode("utf-8")) + text[preamble:]
     return universe, parse_rule(body, universe)
 
 

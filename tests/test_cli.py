@@ -14,6 +14,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -1230,7 +1231,7 @@ IMPORT_GUARD = textwrap.dedent(
     absent(argv, "dataclasses")
     import ruledict
     assert ruledict.select_best is ruledict.select.select_best
-    assert "GroupingStructure" not in vars(ruledict)
+    assert vars(ruledict)["GroupingStructure"] is ruledict.grouping.GroupingStructure
     assert ruledict.GroupingStructure is ruledict.grouping.GroupingStructure
     names = {}
     exec("from ruledict import *", names)
@@ -1250,3 +1251,49 @@ def test_only_select_imports_numpy():
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], capture_output=True, cwd=ROOT, env=_env())
     assert proc.returncode == 0, proc.stderr.decode()[-600:]
     assert proc.stdout == b"ok\n"
+
+
+# The names perfbench/trace_run.py rebinds on ruledict.cli to time a layer,
+# each with a command that must call it as rebound.
+REBOUND = {
+    "read_rule_document": ["dict", "--rule", f"{RULES}/strong_heredity.rule"],
+    "format_rule": ["dict", "--rule", f"{RULES}/strong_heredity.rule"],
+    "eval_rule": ["dict", "--rule", f"{RULES}/strong_heredity.rule"],
+    "json": ["dict", "--rule", f"{RULES}/strong_heredity.rule"],
+    "synthesize_log_grouping": ["synthesize", "--rule", f"{RULES}/strong_heredity.rule"],
+    "check_log_congruence": ["check", "--rule", f"{RULES}/strong_heredity.rule",
+                             "--grouping", f"{GROUPS}/strong_heredity.groups", "--method", "log"],
+    "check_ogl_necessary": ["check", "--rule", f"{RULES}/group_pairs.rule",
+                            "--grouping", f"{GROUPS}/pairs.groups", "--method", "ogl"],
+    "load_dataset": ["select", "--rule", f"{RULES}/one_or_two.rule", "--data", f"{DATA}/linear_abc.csv",
+                     "--outcome", "Y", "--criterion", "bic"],
+    "select_best": ["select", "--rule", f"{RULES}/one_or_two.rule", "--data", f"{DATA}/linear_abc.csv",
+                    "--outcome", "Y", "--criterion", "bic"],
+}
+
+
+@pytest.mark.parametrize("name", REBOUND)
+def test_main_calls_a_rebound_name(monkeypatch, capsys, name):
+    from ruledict import cli
+
+    calls = []
+
+    def counted(fn):
+        return lambda *args, **kwargs: calls.append(fn) or fn(*args, **kwargs)
+
+    if name == "json":
+        wrapper = types.ModuleType("json")
+        wrapper.__dict__.update(json.__dict__)
+        wrapper.dumps = counted(json.dumps)
+    else:
+        wrapper = counted(getattr(cli, name))
+    monkeypatch.setattr(cli, name, wrapper)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    monkeypatch.chdir(ROOT)
+    assert cli.main(REBOUND[name]) == 0, capsys.readouterr().err
+    assert calls
+    # The lazy names come from the package's one list, and the name blocks of
+    # the dictionary writer from a functools cache.
+    assert not hasattr(cli, "_LAZY") and not hasattr(cli, "_Heads")
+    with pytest.raises(AttributeError):
+        cli.union_closure_of_nothing

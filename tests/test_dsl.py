@@ -203,6 +203,22 @@ class TestRuleDocument:
         with pytest.raises(DuplicateVariable):
             read_rule_document("vars: A, A\nselect {1} of {A}")
 
+    @pytest.mark.parametrize(
+        "text,error,message,span",
+        [
+            ("vars: A, B\nselect {1} of {A, C}", UnknownVariable, "unknown variable 'C'", (29, 30)),
+            ("# note\nvars:\nselect {1} of {A}", ParseError, "empty vars declaration", (7, 12)),
+            # é is two bytes, so this document ends at byte 37
+            ("# é\nvars: A, B\nselect {1} of {A} and", ParseError,
+             "expected a rule, got end of input", (37, 37)),
+        ],
+        ids=["unknown-variable", "empty-vars", "end-of-input"],
+    )
+    def test_spans_count_from_the_document_start(self, text, error, message, span):
+        with pytest.raises(error) as exc:
+            read_rule_document(text)
+        assert (str(exc.value), exc.value.span) == (message, span)
+
 
 class TestFormat:
     def test_unit_canonical_spelling(self, abcd):
