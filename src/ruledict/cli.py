@@ -102,8 +102,22 @@ def _emit(obj: dict) -> None:
     write("\n}\n")
 
 
-#: Dictionary entries per stdout write.
-_WRITE_BATCH = 4096
+#: Characters per stdout or stderr write, one Linux pipe buffer. Names go
+#: through ``json.dumps``, so the text is ASCII and a character is a byte.
+_WRITE_BYTES = 1 << 16
+
+
+def _write_pieces(write, pieces) -> None:
+    """Write the strings ``pieces`` in order, each write under :data:`_WRITE_BYTES` characters and one piece."""
+    parts, pending = [], 0
+    for piece in pieces:
+        parts.append(piece)
+        pending += len(piece)
+        if pending >= _WRITE_BYTES:
+            write("".join(parts))
+            parts, pending = [], 0
+    if parts:
+        write("".join(parts))
 
 
 def _write_dictionary(write, d: Dictionary) -> None:
@@ -112,9 +126,9 @@ def _write_dictionary(write, d: Dictionary) -> None:
     Each name is encoded once. An entry's text joins the name block of its
     low half mask with that of its high half. :meth:`Dictionary.halves`
     reads the runs of one high half straight from the storage, and the
-    ``2**14 >> k`` runs last used keep their list of low-half blocks. A
-    run, cut at :data:`_WRITE_BATCH` entries, is one ``join`` over its list,
-    and text goes out about a batch at a time.
+    ``2**14 >> k`` runs last used keep their list of low-half blocks and its
+    longest length. A run is cut into slices that this length bounds to
+    :data:`_WRITE_BYTES`; each slice is one ``join``, and one piece to write.
     """
     if not d:
         write("[]")
@@ -131,29 +145,29 @@ def _write_dictionary(write, d: Dictionary) -> None:
         """
         return "[" + "".join([name for i, name in enumerate(low_names) if low >> i & 1])[1:]
 
-    blocks = lru_cache((1 << 14) >> k)(lambda lows: [*map(head, lows)])
-    parts, sep, pending = [], "[\n    ", 0
-    for high, lows in d.halves(k):
-        tail = "".join([name for i, name in enumerate(high_names) if high >> i & 1]) + "\n    ]"
-        run_blocks = blocks(lows)
-        for start in range(0, len(lows), _WRITE_BATCH):
-            run = run_blocks[start:start + _WRITE_BATCH]
-            pending += len(run)
-            if not lows[start]:  # the high half's names alone
-                parts.append("[" + tail[1:] if high else "[]")
-                run = run[1:]
-            if run:
-                parts.append((tail + ",\n    ").join(run) + tail)
-            if pending >= _WRITE_BATCH:
-                write(sep + ",\n    ".join(parts))
-                parts, sep, pending = [], ",\n    ", 0
-    if parts:
-        write(sep + ",\n    ".join(parts))
-    write("\n  ]")
+    blocks = lru_cache((1 << 14) >> k)(lambda lows: (run := [*map(head, lows)], max(map(len, run))))
+
+    def pieces():
+        sep = "[\n    "
+        for high, lows in d.halves(k):
+            tail = "".join([name for i, name in enumerate(high_names) if high >> i & 1]) + "\n    ]"
+            run, longest = blocks(lows)
+            if not lows[0]:  # the high half's names alone
+                yield sep + ("[" + tail[1:] if high else "[]")
+                sep = ",\n    "
+            step = max(1, _WRITE_BYTES // (longest + len(tail) + len(sep)))
+            for start in range(not lows[0], len(run), step):
+                yield sep
+                yield (tail + ",\n    ").join(run[start:start + step])
+                yield tail
+                sep = ",\n    "
+        yield "\n  ]"
+
+    _write_pieces(write, pieces())
 
 
 def _write_ranking(u: Universe, ranked) -> None:
-    """Write the ranking to stdout and its table to stderr, in batches of :data:`_WRITE_BATCH` models.
+    """Write the ranking to stdout, then its table to stderr, each model's text made as it is written.
 
     Stdout is byte for byte ``json.dumps(payload, indent=2)`` and a newline,
     where ``payload`` lists ``{"subset", "score", "intercept",
@@ -163,15 +177,12 @@ def _write_ranking(u: Universe, ranked) -> None:
     """
     quoted = [json.dumps(name) for name in u.names]
     models = ranked.models
-    texts = []
-    write = sys.stdout.write
-    sep = "[\n  "
-    for start in range(0, len(models), _WRITE_BATCH):
-        items = []
-        for m in models[start:start + _WRITE_BATCH]:
+
+    def items():
+        sep = "[\n  "
+        for m in models:
             mask = m.subset.mask
             idx = [i for i in range(u.size) if mask >> i & 1]
-            texts.append("{" + ",".join([u.names[i] for i in idx]) + "}")
             if idx:
                 subset = "[\n      " + ",\n      ".join([quoted[i] for i in idx]) + "\n    ]"
                 coefficients = "{\n      " + ",\n      ".join(
@@ -180,19 +191,17 @@ def _write_ranking(u: Universe, ranked) -> None:
             else:
                 subset, coefficients = "[]", "{}"
             score = '"-inf"' if m.score == -math.inf else _number(m.score)
-            items.append(
-                f'{{\n    "subset": {subset},\n    "score": {score},\n'
+            yield (
+                f'{sep}{{\n    "subset": {subset},\n    "score": {score},\n'
                 f'    "intercept": {_number(m.intercept)},\n    "coefficients": {coefficients}\n  }}'
             )
-        write(sep + ",\n  ".join(items))
-        sep = ",\n  "
-    write("\n]\n")
+            sep = ",\n  "
+        yield "\n]\n"
+
+    _write_pieces(sys.stdout.write, items())
     write = sys.stderr.write
     write(f"criterion: {ranked.criterion}\n{'rank':>4}  {'score':>14}  subset\n")
-    for start in range(0, len(models), _WRITE_BATCH):
-        rows = zip(models[start:start + _WRITE_BATCH], texts[start:start + _WRITE_BATCH])
-        write("".join([f"{i:>4}  {m.score:>14.6g}  {text}\n"
-                       for i, (m, text) in enumerate(rows, start + 1)]))
+    _write_pieces(write, (f"{i:>4}  {m.score:>14.6g}  {m.subset.to_text()}\n" for i, m in enumerate(models, 1)))
 
 
 def _number(value: float) -> str:

@@ -430,6 +430,44 @@ def _random_family(rng, n):
     return masks | {0} if rng.random() < 0.5 else masks - {0}
 
 
+#: 64 names of 25 characters.
+LONG_NAMES = [f"long_variable_name_{i:06d}" for i in range(64)]
+
+
+def _record_writes(monkeypatch, stream):
+    """The texts written to ``sys.stdout`` or ``sys.stderr`` from now on, one item per write."""
+    target, writes = getattr(sys, stream), []
+    write = target.write
+    monkeypatch.setattr(target, "write", lambda text: writes.append(text) or write(text))
+    return writes
+
+
+_PEAK_LAUNCHER = textwrap.dedent("""
+    import os, sys
+    pid = os.fork()
+    if pid == 0:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        os.execv(sys.executable, [sys.executable, "-m", "ruledict.cli", *sys.argv[1:]])
+    _, status, usage = os.wait4(pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+""")
+
+
+def _dict_peak_mb(tmp_path, rule_text):
+    """The peak RSS in MB of ``dict`` on ``rule_text``, its stdout sent to ``/dev/null``.
+
+    A child's peak starts from the size of the process that forked it, so a
+    small launcher, not this test process, forks the command and reads its peak.
+    """
+    rule = tmp_path / "r.rule"
+    rule.write_text(rule_text)
+    proc = subprocess.run([sys.executable, "-S", "-c", _PEAK_LAUNCHER, "dict", "--rule", str(rule)],
+                          capture_output=True, cwd=ROOT, env=_env(), check=True)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr.decode()
+    return peak_kb / 1024
+
+
 class TestDictionaryWriter:
     """Streamed dictionary output is byte-identical to ``json.dumps(indent=2)``."""
 
@@ -472,24 +510,26 @@ class TestDictionaryWriter:
         assert all(sum(1 for name in entry if name in scope) in (0, 1, 58)
                    for entry in payload["dictionary"])
 
-    def test_several_write_batches(self, capsys):
+    def test_several_write_batches(self, monkeypatch, capsys):
         from ruledict import cli
         from ruledict.core import powerset
 
         u = make_universe([f"v{i}" for i in range(13)] + ESCAPED_VARS.split(",")[-2:])
         d = powerset(u)
-        assert len(d) > 2 * cli._WRITE_BATCH
+        writes = _record_writes(monkeypatch, "stdout")
         cli._emit({"size": len(d), "dictionary": d})
         expected = {"size": len(d), "dictionary": d.to_json_obj()}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+        assert len("".join(writes)) > 2 * cli._WRITE_BYTES
+        assert max(map(len, writes)) <= 2 * cli._WRITE_BYTES
 
-    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("budget", [5, 300, None], ids=["batch-5", "budget-300", "default-batch"])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n", [*range(1, 9), 21, 22])
-    def test_random_family(self, monkeypatch, n, seed, batch):
+    def test_random_family(self, monkeypatch, n, seed, budget):
         # Up to 20 variables a Dictionary is a bitmap, above that a mask tuple.
         names = [f"v{i}" for i in range(n)]
-        self._check(monkeypatch, names, _random_family(random.Random(1000 * n + seed), n), batch)
+        self._check(monkeypatch, names, _random_family(random.Random(1000 * n + seed), n), budget)
 
     @pytest.mark.parametrize(
         "names,masks",
@@ -518,9 +558,9 @@ class TestDictionaryWriter:
         names = [f"v{i}" for i in range(names)] if isinstance(names, int) else names
         self._check(monkeypatch, names, masks)
 
-    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("budget", [5, None], ids=["batch-5", "default-batch"])
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_runs_under_a_byte(self, monkeypatch, n, batch):
+    def test_runs_under_a_byte(self, monkeypatch, n, budget):
         """Every family over up to 3 variables, and 64 seeded ones over 4 and 5 (runs of 2, 4 and 8 bits)."""
         rng = random.Random(n)
         if n <= 3:
@@ -528,13 +568,13 @@ class TestDictionaryWriter:
         else:
             families = [{m for m in range(1 << n) if rng.random() < p} for p in (0.1, 0.5, 0.9) * 21 + (1.0,)]
         for masks in families:
-            self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, batch)
+            self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, budget)
 
-    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("budget", [5, None], ids=["batch-5", "default-batch"])
     @pytest.mark.parametrize("shape", ["empty-high-halves", "one-entry-per-run", "full-runs"])
     @pytest.mark.parametrize("n", range(17, 21))
-    def test_wide_bitmaps(self, monkeypatch, n, shape, batch):
-        """Runs of 2**9 and 2**10 bits: most high halves empty, one entry in each, or six whole runs, over a batch."""
+    def test_wide_bitmaps(self, monkeypatch, n, shape, budget):
+        """Runs of 2**9 and 2**10 bits: most high halves empty, one entry in each, or six whole runs, over a budget."""
         k, rng = (n + 1) // 2, random.Random(n)
         if shape == "empty-high-halves":
             masks = {h << k | rng.randrange(1 << k) for h in range(0, 1 << (n - k), 7) for _ in range(3)}
@@ -542,40 +582,40 @@ class TestDictionaryWriter:
             masks = {h << k | h * 7919 % (1 << k) for h in range(1 << (n - k))}
         else:
             masks = {h << k | low for h in (0, 1, 2, 5, 6, (1 << (n - k)) - 1) for low in range(1 << k)}
-        self._check(monkeypatch, [f"v{i}" for i in range(n)], masks | {0} if rng.random() < 0.5 else masks, batch)
+        self._check(monkeypatch, [f"v{i}" for i in range(n)], masks | {0} if rng.random() < 0.5 else masks, budget)
 
-    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("budget", [5, None], ids=["batch-5", "default-batch"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_storages_through_phi(self, monkeypatch, seed, batch):
+    def test_storages_through_phi(self, monkeypatch, seed, budget):
         """An 8-variable family (bitmap) and its φ lifting into 21 variables (mask tuple)."""
         rng = random.Random(seed)
         masks8 = {m for m in range(1 << 8) if rng.random() < (0.05, 0.3, 0.7, 1.0)[seed]}
         for n, masks in ((8, masks8), (21, set(map(lift, masks8)))):
-            self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, batch)
+            self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, budget)
 
-    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("budget", [5, None], ids=["batch-5", "default-batch"])
     @pytest.mark.parametrize("high_zero", [True, False], ids=["with-high-half-0", "without-high-half-0"])
     @pytest.mark.parametrize("low_zero", [True, False], ids=["with-low-half-0", "without-low-half-0"])
     @pytest.mark.parametrize("n", [16, 20, 21, 26])
-    def test_repeated_runs(self, monkeypatch, n, low_zero, high_zero, batch):
-        """Five low-half patterns, each repeated under several high halves; two outgrow a batch at 26 variables."""
+    def test_repeated_runs(self, monkeypatch, n, low_zero, high_zero, budget):
+        """Five low-half patterns, each repeated under several high halves; two outgrow a budget at 26 variables."""
         k, rng = (n + 1) // 2, random.Random(n)
         patterns = [set(rng.sample(range(1 << k), min(size, 1 << k))) for size in (1, 3, 150, 900, 5000)]
         for lows in patterns:
             (lows.add if low_zero else lows.discard)(0)
         highs = [0] * high_zero + rng.sample(range(1, 1 << (n - k)), 15)
         masks = {h << k | low for h in highs for low in rng.choice(patterns)}
-        self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, batch)
+        self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, budget)
 
-    @pytest.mark.parametrize("batch", [5, None], ids=["batch-5", "default-batch"])
+    @pytest.mark.parametrize("budget", [5, None], ids=["batch-5", "default-batch"])
     @pytest.mark.parametrize("n", [20, 26])
-    def test_runs_repeating_after_the_kept_runs_are_dropped(self, monkeypatch, n, batch):
+    def test_runs_repeating_after_the_kept_runs_are_dropped(self, monkeypatch, n, budget):
         """24 patterns of 1,000 entries in turn: more than are kept, so each is seen again after being dropped."""
         k, rng = (n + 1) // 2, random.Random(n)
         patterns = [rng.sample(range(1 << k), 1000) for _ in range(24)]
         masks = {h << k | low for i, h in enumerate(range(0, 48 << (n - k - 6), 1 << (n - k - 6)))
                  for low in patterns[i % 24]}
-        self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, batch)
+        self._check(monkeypatch, [f"v{i}" for i in range(n)], masks, budget)
 
     def test_each_distinct_run_is_decoded_once(self, monkeypatch):
         """The cap rule's 1,024 runs hold 11 distinct ones; a 16-variable rule decodes each distinct run once."""
@@ -625,46 +665,68 @@ class TestDictionaryWriter:
         assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
 
     @staticmethod
-    def _check(monkeypatch, names, masks, batch=None):
-        """The written text is ``json.dumps`` of the family, written in batches of under two batches' entries."""
+    def _check(monkeypatch, names, masks, budget=None):
+        """The written text is ``json.dumps`` of the family, in writes of one budget to two.
+
+        The last write may be shorter. Under a budget shorter than an
+        entry, a write may hold two entries' text instead.
+        """
         from ruledict import cli
 
-        if batch is not None:
-            monkeypatch.setattr(cli, "_WRITE_BATCH", batch)
+        if budget is not None:
+            monkeypatch.setattr(cli, "_WRITE_BYTES", budget)
         u = make_universe(names)
         chunks = []
         cli._write_dictionary(chunks.append, Dictionary.from_masks(u, masks))
-        assert "".join(chunks) == json.dumps(_names_of(u, masks), indent=2).replace("\n", "\n  ")
-        assert max(chunk.count("\n    [") for chunk in chunks) < 2 * cli._WRITE_BATCH
+        expected = json.dumps(_names_of(u, masks), indent=2).replace("\n", "\n  ")
+        assert "".join(chunks) == expected
+        longest = max(map(len, expected.split("\n    ["))) + len("\n    [")
+        assert max(map(len, chunks)) <= 2 * max(cli._WRITE_BYTES, longest)
+        assert min(map(len, chunks[:-1]), default=cli._WRITE_BYTES) >= cli._WRITE_BYTES
+
+    @pytest.mark.parametrize("budget", [5, 3000, None], ids=["budget-5", "budget-3000", "default-budget"])
+    @pytest.mark.parametrize("scope", [slice(None, 58), slice(6, None)], ids=["first-58", "last-58"])
+    def test_long_names_on_64_variables(self, monkeypatch, scope, budget):
+        """``select {0,1,58}`` of 58 of 64 names of 25 characters: 3,840 entries, about 700 KB of text."""
+        u = make_universe(LONG_NAMES)
+        d = eval_rule(u, parse_rule(f"select {{0,1,58}} of {{{','.join(LONG_NAMES[scope])}}}", u))
+        self._check(monkeypatch, LONG_NAMES, set(d.masks()), budget)
+
+    def test_writer_memory_on_long_names(self):
+        """The writer peaks under 0.6 MiB on 3,840 entries of long names, about 700 KB of text."""
+        import tracemalloc
+
+        from ruledict import cli
+
+        u = make_universe(LONG_NAMES)
+        d = eval_rule(u, parse_rule(f"select {{0,1,58}} of {{{','.join(LONG_NAMES[:58])}}}", u))
+        tracemalloc.start()
+        cli._write_dictionary(lambda text: None, d)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 0.6 * 2**20, peak
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
     def test_peak_memory_does_not_grow_with_the_family(self, tmp_path):
         """``dict`` on a 616,666-entry family over 20 variables peaks within 8 MB of a one-entry ``dict``.
 
-        A mask tuple of the whole family costs about 35 MB more. A child's
-        peak starts from the size of the process that forked it, so a small
-        launcher, not this test process, forks the command and reads its peak.
+        A mask tuple of the whole family costs about 35 MB more.
         """
-        launcher = textwrap.dedent("""
-            import os, sys
-            pid = os.fork()
-            if pid == 0:
-                os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-                os.execv(sys.executable, [sys.executable, "-m", "ruledict.cli", *sys.argv[1:]])
-            _, status, usage = os.wait4(pid, 0)
-            print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-        """)
         names = ",".join(f"v{i}" for i in range(20))
-        peaks = []
-        for counts in ("{0}", "0..10"):
-            rule = tmp_path / "r.rule"
-            rule.write_text(f"vars: {names}\nselect {counts} of {{{names}}}\n")
-            proc = subprocess.run([sys.executable, "-S", "-c", launcher, "dict", "--rule", str(rule)],
-                                  capture_output=True, cwd=ROOT, env=_env(), check=True)
-            code, peak_kb = map(int, proc.stdout.split())
-            assert code == 0, proc.stderr.decode()
-            peaks.append(peak_kb / 1024)
+        peaks = [_dict_peak_mb(tmp_path, f"vars: {names}\nselect {counts} of {{{names}}}\n")
+                 for counts in ("{0}", "0..10")]
         assert peaks[1] - peaks[0] < 8, peaks
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+    def test_peak_memory_on_64_long_names(self, tmp_path):
+        """``dict`` on 3,840 entries of long names over 64 variables peaks within 1 MB of a one-entry ``dict``.
+
+        Written in one piece, their 700 KB of text cost about 1.9 MB more.
+        """
+        names = ",".join(LONG_NAMES)
+        peaks = [_dict_peak_mb(tmp_path, f"vars: {names}\nselect {counts} of {{{scope}}}\n")
+                 for counts, scope in (("{0}", names), ("{0,1,58}", ",".join(LONG_NAMES[:58])))]
+        assert peaks[1] - peaks[0] < 1, peaks
 
     @pytest.mark.parametrize("n", [6, 21])
     def test_ogl_payload(self, capsys, n):
@@ -1156,21 +1218,33 @@ class TestRankingWriter:
         if text.startswith("select {0} of"):
             assert '"subset": [],' in out and '"coefficients": {}' in out
 
-    def test_several_write_batches(self, tmp_path, capsys):
+    def test_several_write_batches(self, tmp_path, monkeypatch, capsys):
+        self._check_powerset(tmp_path, monkeypatch, capsys, [f"v{i}" for i in range(11)], ESCAPED_VARS.split(",")[-2:])
+
+    def test_long_names(self, tmp_path, monkeypatch, capsys):
+        """4,096 models over 12 names of 25 characters."""
+        self._check_powerset(tmp_path, monkeypatch, capsys, LONG_NAMES[:12], [])
+
+    @staticmethod
+    def _check_powerset(tmp_path, monkeypatch, capsys, scope, others):
+        """``select`` on every subset of ``scope + others``: each stream spans over two budgets, in writes of at most two."""
         from ruledict import cli
         from ruledict.core import powerset
 
-        names = [f"v{i}" for i in range(11)] + ESCAPED_VARS.split(",")[-2:]
+        names = scope + others
         data_path, data = _write_select_inputs(tmp_path, names, 40, 8)
         D = powerset(data.universe)
-        assert len(D) > cli._WRITE_BATCH
         rule = tmp_path / "r.rule"
-        rule.write_text(f"select 0..11 of {{{','.join(names[:11])}}}\n")
+        rule.write_text(f"select 0..{len(scope)} of {{{','.join(scope)}}}\n")
+        writes = [_record_writes(monkeypatch, stream) for stream in ("stdout", "stderr")]
         code = cli.main(["select", "--rule", str(rule), "--vars", ",".join(names),
                          "--data", data_path, "--outcome", "Y", "--criterion", "bic"])
         assert code == 0
         got = capsys.readouterr()
         assert (got.out, got.err) == _select_streams(data, D, "bic")
+        for chunks in writes:
+            assert len("".join(chunks)) > 2 * cli._WRITE_BYTES
+            assert max(map(len, chunks)) <= 2 * cli._WRITE_BYTES
 
     def test_non_finite_numbers(self):
         from ruledict import cli
