@@ -123,8 +123,10 @@ def _write_pieces(write, pieces) -> None:
 def _write_dictionary(write, d: Dictionary) -> None:
     """Write ``d.to_json_obj()`` as ``json.dumps(..., indent=2)`` lays out a top-level value.
 
-    Each name is encoded once. An entry's text joins the name block of its
-    low half mask with that of its high half. :meth:`Dictionary.halves`
+    Each name is encoded once. A mask is cut after its first ``k = min(ceil(n/2), 10)``
+    variables, and an entry's text joins the name block of its low half with
+    those of its high half's ten-name slices: at most 1,024 blocks per slice,
+    each made once, whatever the universe's width. :meth:`Dictionary.halves`
     reads the runs of one high half straight from the storage, and the
     ``2**14 >> k`` runs last used keep their list of low-half blocks and its
     longest length. A run is cut into slices that this length bounds to
@@ -134,23 +136,25 @@ def _write_dictionary(write, d: Dictionary) -> None:
         write("[]")
         return
     names = [f",\n      {json.dumps(name)}" for name in d.universe.names]
-    k = (len(names) + 1) // 2
-    low_names, high_names = names[:k], names[k:]
+    k = min((len(names) + 1) // 2, 10)
 
     @cache
-    def head(low: int) -> str:
-        """``[`` and the names in ``low`` less the first comma, made on first use.
+    def block(key: int) -> str:
+        """For ``key = start << 10 | bits``, the names ``start + i`` for the set bits ``i`` of ``bits``.
 
-        A table of all ``2**k`` low halves would not fit at 64 variables.
+        From 0, ``[`` and those names less the first comma. One int key takes
+        the cache's fast path, and a low half's block is ``block(low)``.
         """
-        return "[" + "".join([name for i, name in enumerate(low_names) if low >> i & 1])[1:]
+        start, bits = key >> 10, key & 1023
+        text = "".join([names[start + i] for i in range(bits.bit_length()) if bits >> i & 1])
+        return text if start else "[" + text[1:]
 
-    blocks = lru_cache((1 << 14) >> k)(lambda lows: (run := [*map(head, lows)], max(map(len, run))))
+    blocks = lru_cache((1 << 14) >> k)(lambda lows: (run := [*map(block, lows)], max(map(len, run))))
 
     def pieces():
         sep = "[\n    "
         for high, lows in d.halves(k):
-            tail = "".join([name for i, name in enumerate(high_names) if high >> i & 1]) + "\n    ]"
+            tail = "".join([block(start << 10 | high >> (start - k) & 1023) for start in range(k, len(names), 10)]) + "\n    ]"
             run, longest = blocks(lows)
             if not lows[0]:  # the high half's names alone
                 yield sep + ("[" + tail[1:] if high else "[]")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache, lru_cache, reduce
 from itertools import accumulate, combinations, repeat
-from operator import and_, attrgetter, itemgetter, or_
+from operator import and_, attrgetter, or_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -62,10 +62,9 @@ class Record:
         own = [name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_")]
         cls._fields = fields = cls._fields + tuple(own)
         cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
-        if fields:  # attrgetter and itemgetter give a tuple for two or more names only
-            get, take, many = attrgetter(*fields), itemgetter(*fields), len(fields) > 1
+        if fields:  # attrgetter gives a tuple for two or more names only
+            get, many = attrgetter(*fields), len(fields) > 1
             cls._values = staticmethod(get if many else lambda record: (get(record),))
-            cls._take = staticmethod(take if many else lambda kwargs: (take(kwargs),))
             if not many and cls.__hash__ is Record.__hash__:  # no call through _values
                 cls.__hash__ = lambda record: hash((get(record),))
 
@@ -79,11 +78,6 @@ class Record:
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
         """The field values of ``cls(*args, **kwargs)``, in field order."""
-        if not args and len(kwargs) == len(cls._fields):
-            try:
-                return cls._take(kwargs)  # every field by keyword
-            except KeyError:  # a name that is no field: the check below reports it
-                pass
         given = dict(zip(cls._fields, args))
         values = {**cls._defaults, **given, **kwargs}
         if len(args) > len(cls._fields) or given.keys() & kwargs or values.keys() != set(cls._fields):
@@ -285,6 +279,10 @@ class Dictionary:
     __slots__ = ("universe", "_data", "_masks", "_entries", "_lookup")
 
     def __init__(self, universe: Universe, entries: Iterable[VarSet] = ()):
+        entries = tuple(entries)
+        for v in entries:
+            if v.universe != universe:
+                raise UnknownVariable(f"entry {v.to_text()} is over another universe")
         self._set(universe, _pack(universe, (v.mask for v in entries)))
 
     def _set(self, universe: Universe, data) -> None:
@@ -711,14 +709,6 @@ def dictionary_support(d: Dictionary) -> VarSet:
     """Union of all entries; the empty VarSet for the empty Dictionary."""
     if not d._bitmap:
         return VarSet(d.universe, reduce(or_, d._data, 0))
-    # Fold the top variable away one at a time: the upper half of the
-    # bitmap holds the entries containing it, and OR-ing the halves keeps
-    # the rest of every entry.
-    bits, mask = d._data, 0
-    for i in reversed(range(d.universe.size)):
-        half = 1 << i
-        upper = bits >> half
-        if upper:
-            mask |= 1 << i
-        bits = (bits & ((1 << half) - 1)) | upper
-    return VarSet(d.universe, mask)
+    # Plane i holds the masks that contain variable i.
+    planes = var_planes(d.universe.size)
+    return VarSet(d.universe, sum(1 << i for i, plane in enumerate(planes) if d._data & plane))

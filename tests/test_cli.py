@@ -525,9 +525,10 @@ class TestDictionaryWriter:
 
     @pytest.mark.parametrize("budget", [5, 300, None], ids=["batch-5", "budget-300", "default-batch"])
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("n", [*range(1, 9), 21, 22])
+    @pytest.mark.parametrize("n", [*range(1, 9), 21, 22, 64])
     def test_random_family(self, monkeypatch, n, seed, budget):
         # Up to 20 variables a Dictionary is a bitmap, above that a mask tuple.
+        # At 64 the high halves span all six ten-name slices past the low half.
         names = [f"v{i}" for i in range(n)]
         self._check(monkeypatch, names, _random_family(random.Random(1000 * n + seed), n), budget)
 
@@ -705,6 +706,37 @@ class TestDictionaryWriter:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 0.6 * 2**20, peak
+
+    @pytest.mark.parametrize("budget", [5, None], ids=["budget-5", "default-budget"])
+    @pytest.mark.parametrize("scope", [slice(16, None), slice(None, 48)], ids=["last-48", "first-48"])
+    def test_64_variables_at_both_extremes(self, monkeypatch, scope, budget):
+        """``select {0}`` of 48 of 64 names: every subset of the first 16 (1,024-entry runs), or of the last 16.
+
+        The last 16 are a high half over three ten-name slices, in runs of one entry.
+        """
+        names = [f"v{i}" for i in range(64)]
+        u = make_universe(names)
+        d = eval_rule(u, parse_rule(f"select {{0}} of {{{','.join(names[scope])}}}", u))
+        assert len(d) == 1 << 16
+        self._check(monkeypatch, names, set(d.masks()), budget)
+
+    def test_writer_memory_on_64_variables(self):
+        """The writer peaks under 1 MiB on ``select {0} of {v16,...,v63}``: 2**16 entries, each in the first 16 of 64.
+
+        Cut at 32 variables, with a text kept for each low half, it peaked at 14.7 MiB.
+        """
+        import tracemalloc
+
+        from ruledict import cli
+
+        names = [f"v{i}" for i in range(64)]
+        u = make_universe(names)
+        d = eval_rule(u, parse_rule(f"select {{0}} of {{{','.join(names[16:])}}}", u))
+        tracemalloc.start()
+        cli._write_dictionary(lambda text: None, d)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20, peak
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
     def test_peak_memory_does_not_grow_with_the_family(self, tmp_path):

@@ -1,7 +1,10 @@
 import ast
 import enum
 import os
+import random
 import time
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given
@@ -162,6 +165,16 @@ class TestDictionary:
         assert d1.union(d2).masks() == (0, 1, 2, 4)
         assert d1.intersection(d2).masks() == (2,)
         assert d1.difference(d2).masks() == (0, 1)
+
+    @pytest.mark.parametrize("n", [3, 21])
+    def test_entries_from_another_universe_rejected(self, n):
+        """Entries over other names, or over another width, are not relabelled into the universe."""
+        u = make_universe([f"v{i}" for i in range(n)])
+        for other in (make_universe([f"w{i}" for i in range(n)]), make_universe([f"v{i}" for i in range(n + 1)])):
+            with pytest.raises(UnknownVariable):
+                Dictionary(u, [VarSet(other, 3)])
+        same_names = make_universe([f"v{i}" for i in range(n)])
+        assert Dictionary(u, [VarSet(same_names, 3)]).masks() == (3,)
 
     @pytest.mark.parametrize("n1, n2", [(3, 4), (3, 30), (21, 30)])
     def test_set_algebra_rejects_other_universe(self, n1, n2):
@@ -468,6 +481,18 @@ class TestSupport:
 
     def test_support_of_powerset(self, abc):
         assert dictionary_support(powerset(abc)) == VarSet.full(abc)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 20, 21, 30])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_union_of_the_masks(self, n, seed):
+        """Random families on both storages (bitmap up to 20 variables, mask tuple above)."""
+        rng = random.Random(1000 * n + seed)
+        u = make_universe([f"v{i}" for i in range(n)])
+        for size in (0, 1, 3, 40):
+            mask_bits = rng.sample(range(n), rng.randint(0, n))
+            masks = [sum(1 << i for i in mask_bits if rng.random() < 0.3) for _ in range(size)]
+            d = Dictionary.from_masks(u, masks)
+            assert dictionary_support(d).mask == reduce(or_, d.masks(), 0)
 
 
 class TestParseBracedNames:

@@ -199,3 +199,15 @@ def test_congruence_report_family_defaults():
         CongruenceReport(fields["congruent"])
     with pytest.raises(TypeError):
         CongruenceReport(*fields.values(), not_a_field=1)
+
+
+@CLASSES
+def test_keyword_construction_errors(cls):
+    """Every field by keyword but one misnamed, the first missing, or the first also given by position."""
+    fields = FIELDS[cls]
+    first, *rest = fields
+    misnamed = {**fields, "not_a_field": fields[first]}
+    del misnamed[first]
+    for args, kwargs in (((), misnamed), ((), {name: fields[name] for name in rest}), ((fields[first],), fields)):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
