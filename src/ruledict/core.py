@@ -231,20 +231,26 @@ class VarSet(Record):
     def names(self) -> tuple[str, ...]:
         return tuple(self)
 
+    def _other_mask(self, other: "VarSet") -> int:
+        """``other``'s mask, which must be over this universe: one over another is not relabelled."""
+        if other.universe is not self.universe and other.universe != self.universe:
+            raise UnknownVariable(f"{other.to_text()} is over another universe than {self.to_text()}")
+        return other.mask
+
     def union(self, other: "VarSet") -> "VarSet":
-        return VarSet(self.universe, self.mask | other.mask)
+        return VarSet(self.universe, self.mask | self._other_mask(other))
 
     def intersection(self, other: "VarSet") -> "VarSet":
-        return VarSet(self.universe, self.mask & other.mask)
+        return VarSet(self.universe, self.mask & self._other_mask(other))
 
     def difference(self, other: "VarSet") -> "VarSet":
-        return VarSet(self.universe, self.mask & ~other.mask)
+        return VarSet(self.universe, self.mask & ~self._other_mask(other))
 
     def complement(self) -> "VarSet":
         return VarSet(self.universe, self.universe.full_mask & ~self.mask)
 
     def issubset(self, other: "VarSet") -> bool:
-        return self.mask & ~other.mask == 0
+        return self.mask & ~self._other_mask(other) == 0
 
     def __le__(self, other: "VarSet") -> bool:
         return self.issubset(other)
@@ -393,6 +399,8 @@ class Dictionary:
                 yield high, decode(bits)
 
     def __contains__(self, v: VarSet) -> bool:
+        if v.universe is not self.universe and v.universe != self.universe:
+            return False  # never relabelled into this universe
         if self._bitmap:
             # Shifting the int would cost O(2**n) per test; a byte lookup is O(1).
             if self._lookup is None:

@@ -13,9 +13,11 @@ import csv
 import itertools
 import math
 import mmap
+import operator
 import os
 import struct
 import sys
+from array import array
 
 import numpy as np
 
@@ -66,6 +68,28 @@ def _records(fh, path):
         raise ParseError(f"{path}: row {rownum + 1}: {exc}", row=rownum + 1) from None
 
 
+def _checked_values(record: list[str], rownum: int, needed: list[str], cols: list[int]) -> list[float]:
+    """The values of ``record`` at ``cols``, each cell checked in turn:
+    the error for the first that is absent, missing, not a number or not
+    finite, in the column named by ``needed``."""
+    values = []
+    for name, idx in zip(needed, cols):
+        where = f"row {rownum}, column {name!r}"
+        if idx >= len(record):
+            raise MissingValue(f"row {rownum} has no value for column {name!r}", row=rownum, column=name)
+        cell = record[idx].strip()
+        if cell.lower() in _MISSING_TOKENS:
+            raise MissingValue(f"missing value at {where}", row=rownum, column=name)
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(f"non-numeric cell {cell!r} at {where}", row=rownum, column=name) from None
+        if not math.isfinite(value):
+            raise MissingValue(f"non-finite value at {where}", row=rownum, column=name)
+        values.append(value)
+    return values
+
+
 def load_dataset(path, outcome: str, u: Universe) -> Dataset:
     """Read a CSV with a header row into a validated Dataset.
 
@@ -92,44 +116,22 @@ def load_dataset(path, outcome: str, u: Universe) -> Dataset:
             if name not in positions:
                 raise SchemaMismatch(f"missing column {name!r} in header")
         cols = [positions[name] for name in needed]
-        rows = []
+        flat = array("d")
         for rownum, record in enumerate(reader, start=2):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
-            values = []
-            for name, idx in zip(needed, cols):
-                if idx >= len(record):
-                    raise MissingValue(
-                        f"row {rownum} has no value for column {name!r}",
-                        row=rownum,
-                        column=name,
-                    )
-                cell = record[idx].strip()
-                if cell.lower() in _MISSING_TOKENS:
-                    raise MissingValue(
-                        f"missing value at row {rownum}, column {name!r}",
-                        row=rownum,
-                        column=name,
-                    )
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric cell {cell!r} at row {rownum}, column {name!r}",
-                        row=rownum,
-                        column=name,
-                    ) from None
-                if not math.isfinite(value):
-                    raise MissingValue(
-                        f"non-finite value at row {rownum}, column {name!r}",
-                        row=rownum,
-                        column=name,
-                    )
-                values.append(value)
-            rows.append(values)
-    if len(rows) < 2:
-        raise DatasetTooSmall(f"need at least 2 data rows, found {len(rows)}")
-    data = np.asarray(rows, dtype=np.float64)
+            try:
+                values = [float(record[idx]) for idx in cols]
+            except (IndexError, ValueError):
+                values = None
+            # A non-finite sum flags a non-finite cell, or finite cells whose sum overflows.
+            if values is None or not math.isfinite(sum(values)):
+                values = _checked_values(record, rownum, needed, cols)
+            flat.fromlist(values)
+    rows = len(flat) // len(cols)
+    if rows < 2:
+        raise DatasetTooSmall(f"need at least 2 data rows, found {rows}")
+    data = np.frombuffer(flat, dtype=np.float64).reshape(rows, len(cols))
     return Dataset(universe=u, outcome=outcome, X=data[:, : u.size], y=data[:, u.size])
 
 
@@ -250,6 +252,75 @@ def _fold_bounds(n: int, folds: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:]))
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hashmix(const: int, mult: int):
+    """numpy ``SeedSequence``'s word hash: each call xors a word with the
+    running constant, steps the constant by ``mult``, multiplies, folds
+    the high half in; all modulo 2**32."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """``SeedSequence``'s mix of pool word ``x`` with hashed word ``y``, modulo 2**32."""
+    r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+    return r ^ r >> 16
+
+
+def _pcg64(seed: int):
+    """The 64-bit outputs of numpy's ``PCG64(seed)``.
+
+    ``SeedSequence(seed)`` hashes the seed's 32-bit words into a pool of
+    four and draws eight state words from it; their 64-bit pairs seed a
+    128-bit LCG, which steps before each XSL-RR output.
+    """
+    words = [seed >> s & _M32 for s in range(0, seed.bit_length() or 1, 32)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+    # Word pairs are little-endian 64-bit words: the first pair is the high
+    # half of the LCG's seed, the second its low half; the next two, its stream.
+    state = sum(hashmix(pool[i % 4]) << 32 * (i ^ 2) for i in range(8))
+    init, inc = state & _M128, (state >> 128 << 1 | 1) & _M128
+    state = (inc + init) * 0x2360ED051FC65DA44385DF649FCCF645 + inc & _M128
+    while True:
+        state = state * 0x2360ED051FC65DA44385DF649FCCF645 + inc & _M128
+        out, rot = (state >> 64 ^ state) & _M64, state >> 122
+        yield (out >> rot | out << 64 - rot) & _M64
+
+
+def _permutation(seed: int, n: int) -> list[int]:
+    """``numpy.random.default_rng(seed).permutation(n).tolist()``, in pure Python:
+    numpy's Fisher-Yates shuffle from the top, each index drawn by masked
+    rejection from 32-bit halves of the outputs (low half first), or from
+    whole outputs above ``2**32 - 1``. ``numpy.random`` would cost ``select``
+    more memory than its fits, and numpy may change its stream between versions.
+    """
+    raw = _pcg64(operator.index(seed))
+    draw64, draw32 = raw.__next__, (half for value in raw for half in (value & _M32, value >> 32)).__next__
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask, draw = (1 << i.bit_length()) - 1, draw32 if i <= _M32 else draw64
+        while (j := draw() & mask) > i:
+            pass
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def _cv_blocks(Z: np.ndarray, y: np.ndarray, folds: int, seed: int | None) -> list[tuple]:
     """Per fold: the training ``Z`` and ``y``, the held-out ``Z`` and ``y``.
 
@@ -257,7 +328,7 @@ def _cv_blocks(Z: np.ndarray, y: np.ndarray, folds: int, seed: int | None) -> li
     ``Z`` is Fortran-ordered, so a model's columns are whole-column copies.
     """
     n = y.shape[0]
-    order = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)
+    order = np.arange(n) if seed is None else _permutation(seed, n)
     Z, y = Z[order], y[order]
     blocks = []
     for start, end in _fold_bounds(n, folds):

@@ -11,6 +11,7 @@ against these.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -20,6 +21,8 @@ from ruledict.errors import (
     DatasetTooSmall,
     EmptyDictionary,
     EnumerationTooLarge,
+    MissingValue,
+    ParseError,
     RankDeficient,
     SchemaMismatch,
     Underdetermined,
@@ -42,6 +45,7 @@ from ruledict.select import (
     RankedModels,
     ScoredModel,
     _fold_bounds,
+    _records,
     score,
 )
 
@@ -289,6 +293,74 @@ def select_best(
         )
     scored.sort(key=lambda m: (m.score, len(m.subset), m.subset.mask))
     return RankedModels(criterion=criterion, models=tuple(scored))
+
+
+# ---------------------------------------------------------------------------
+# The CSV loader as it stood when every cell went through its own checks
+# into a list of Python-float rows. The library's loader must give the
+# same array, or the same error class and text.
+
+_FROZEN_MISSING_TOKENS = {"", "na", "nan", "n/a", "null", "none"}
+
+
+def load_dataset(path, outcome: str, u: Universe) -> Dataset:
+    if outcome in u:
+        raise SchemaMismatch(f"outcome column {outcome!r} is also a covariate")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _records(fh, path)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaMismatch("empty file: no header row") from None
+        header = [h.strip() for h in header]
+        positions = {}
+        for idx, name in enumerate(header):
+            if name not in positions:
+                positions[name] = idx
+        needed = list(u.names) + [outcome]
+        for name in needed:
+            if name not in positions:
+                raise SchemaMismatch(f"missing column {name!r} in header")
+        cols = [positions[name] for name in needed]
+        rows = []
+        for rownum, record in enumerate(reader, start=2):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            values = []
+            for name, idx in zip(needed, cols):
+                if idx >= len(record):
+                    raise MissingValue(
+                        f"row {rownum} has no value for column {name!r}",
+                        row=rownum,
+                        column=name,
+                    )
+                cell = record[idx].strip()
+                if cell.lower() in _FROZEN_MISSING_TOKENS:
+                    raise MissingValue(
+                        f"missing value at row {rownum}, column {name!r}",
+                        row=rownum,
+                        column=name,
+                    )
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"non-numeric cell {cell!r} at row {rownum}, column {name!r}",
+                        row=rownum,
+                        column=name,
+                    ) from None
+                if not math.isfinite(value):
+                    raise MissingValue(
+                        f"non-finite value at row {rownum}, column {name!r}",
+                        row=rownum,
+                        column=name,
+                    )
+                values.append(value)
+            rows.append(values)
+    if len(rows) < 2:
+        raise DatasetTooSmall(f"need at least 2 data rows, found {len(rows)}")
+    data = np.asarray(rows, dtype=np.float64)
+    return Dataset(universe=u, outcome=outcome, X=data[:, : u.size], y=data[:, u.size])
 
 
 # ---------------------------------------------------------------------------

@@ -1335,6 +1335,9 @@ IMPORT_GUARD = textwrap.dedent(
                 "--outcome", "Y", "--criterion", "bic")
     assert "numpy" in sys.modules
     absent(argv, "dataclasses")
+    argv = main("select", "--rule", f"{R}/one_or_two.rule", "--data", "fixtures/data/linear_abc.csv",
+                "--outcome", "Y", "--criterion", "cv", "--folds", "5", "--seed", "3")
+    absent(argv, "numpy.random", "dataclasses")
     import ruledict
     assert ruledict.select_best is ruledict.select.select_best
     assert vars(ruledict)["GroupingStructure"] is ruledict.grouping.GroupingStructure

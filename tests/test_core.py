@@ -4,7 +4,7 @@ import os
 import random
 import time
 from functools import reduce
-from operator import or_
+from operator import le, or_
 
 import pytest
 from hypothesis import given
@@ -101,6 +101,20 @@ class TestVarSet:
         assert not ab.issubset(bc)
         assert VarSet.empty(abc) <= ab <= VarSet.full(abc)
 
+    @pytest.mark.parametrize("n", [3, 21])
+    def test_set_algebra_rejects_other_universe(self, n):
+        """A subset over other names, or over another width, is not relabelled."""
+        u = make_universe([f"v{i}" for i in range(n)])
+        a = VarSet(u, 3)
+        for other in (make_universe([f"w{i}" for i in range(n)]), make_universe([f"v{i}" for i in range(n + 1)])):
+            b = VarSet(other, 3)
+            for op in (VarSet.union, VarSet.intersection, VarSet.difference, VarSet.issubset, le):
+                with pytest.raises(UnknownVariable):
+                    op(a, b)
+            assert b not in Dictionary(u, [a])
+        same = VarSet(make_universe([f"v{i}" for i in range(n)]), 1)
+        assert a.union(same) == a and same <= a and same in Dictionary(u, [same])
+
     def test_text_form(self, abc):
         assert VarSet.of_names(abc, ["C", "A"]).to_text() == "{A,C}"
         assert VarSet.empty(abc).to_text() == "{}"
@@ -146,9 +160,11 @@ class TestDictionary:
         masks = {m for m in range(1 << n) if m % 3 != 1}
         d = Dictionary.from_masks(u, masks)
         assert [VarSet(u, m) in d for m in range(1 << n)] == [m in masks for m in range(1 << n)]
-        # A subset of a larger universe is never a member.
+        # A subset of a larger universe, or of one with other names, is never a member.
         bigger = make_universe([f"v{i}" for i in range(n + 3)])
-        assert all(VarSet(bigger, m) not in d for m in range(1 << n, 1 << (n + 3)))
+        assert all(VarSet(bigger, m) not in d for m in range(1 << (n + 3)))
+        renamed = make_universe([f"w{i}" for i in range(n)])
+        assert all(VarSet(renamed, m) not in d for m in range(1 << n))
 
     def test_membership_cost_does_not_grow_with_the_map(self):
         # Shifting the 2**20-bit map per test took over 2.5 s for these probes.

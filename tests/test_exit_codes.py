@@ -253,10 +253,22 @@ def _big_outcome(criterion):
     return argv, files, None, False
 
 
+def _csv_case(*rows):
+    """One of :func:`select_invocations`: ``bic`` on a CSV over A, B, C, Y with these data rows."""
+    files = {
+        "s.rule": _fixture("rules/one_or_two.rule"),
+        "s.csv": ("A,B,C,Y\n" + "\n".join(rows) + "\n").encode(),
+    }
+    argv = ["select", "--rule", "@s.rule", "--data", "@s.csv", "--outcome", "Y", "--criterion", "bic"]
+    return argv, files, None, True
+
+
 @settings(max_examples=300)
 @given(select_invocations())
 @example(_big_outcome("aic"))
 @example(_big_outcome("adjr2"))
+@example(_csv_case("1,2,inf,4", "5,abc,7,8", "1,0,1,2"))  # the row-2 error wins
+@example(_csv_case("1e308,1e308,1e308,4", "1,2,0,1", "0,1,3,2", "2,0,1,5", "3,1,1,1"))
 def test_select_in_process(workdir, case):
     argv, files, max_enum, warnings_as_errors = case
     code, stdout, stderr = run_main(_write(workdir, argv, files), max_enum, warnings_as_errors)

@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from ruledict.errors import (
     MissingValue,
     ParseError,
     RankDeficient,
+    RuledictError,
     SchemaMismatch,
     Underdetermined,
 )
@@ -25,6 +27,8 @@ from ruledict.select import (
     Dataset,
     FitResult,
     _fold_bounds,
+    _pcg64,
+    _permutation,
     fit_ols,
     load_dataset,
     score,
@@ -145,6 +149,63 @@ class TestLoadDataset:
         path = write_csv(tmp_path, "A,B,C,Y,Y\n1,2,3,4,99\n5,6,7,8,99\n")
         d = load_dataset(path, "Y", abc)
         assert d.y.tolist() == [4, 8]
+
+    def test_first_failing_row_wins(self, tmp_path, abc):
+        path = write_csv(tmp_path, "A,B,C,Y\n1,2,3,4\n5,inf,7,8\n9,abc,1,2\n")
+        with pytest.raises(MissingValue, match="non-finite value at row 3, column 'B'"):
+            load_dataset(path, "Y", abc)
+        path = write_csv(tmp_path, "A,B,C,Y\n1,2,inf,4\n5,abc,7,8\n")
+        with pytest.raises(MissingValue, match="non-finite value at row 2, column 'C'"):
+            load_dataset(path, "Y", abc)
+
+    def test_finite_cells_whose_sum_overflows_load(self, tmp_path, abc):
+        path = write_csv(tmp_path, "A,B,C,Y\n1e308,1e308,1e308,1e308\n-1e308,1,-1e308,2\n")
+        d = load_dataset(path, "Y", abc)
+        assert d.X.tolist() == [[1e308, 1e308, 1e308], [-1e308, 1, -1e308]]
+        assert d.y.tolist() == [1e308, 2]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_frozen_per_cell_loader(self, tmp_path, abc, seed):
+        """The same array, laid out alike, or the same error class, text, row and column."""
+        rng = random.Random(seed)
+        for case in range(250):
+            path = tmp_path / f"{case}.csv"
+            path.write_text(_random_csv(rng), encoding="utf-8")
+            assert _load_outcome(load_dataset, path, abc) == _load_outcome(oracles.load_dataset, path, abc)
+
+
+#: Cells the CSV differential draws from: missing tokens, non-finite and
+#: overflowing numbers, and text that float() reads but a stricter parser would not.
+TRICKY_CELLS = [
+    "nan", "-nan", "+nan", "NaN", "inf", "-inf", "1e400", "-1e400", "", " ", "NA", "n/a", "none",
+    "null", "1_0", " 3 ", "\uff11", "1e308", "-1e308", "1e-320", "x", "0x1", "--1", "1e", "\u20033",
+]
+
+
+def _random_csv(rng):
+    """A small CSV over A, B, C, Y, some of its cells tricky, some rows short or blank."""
+    tricky = rng.choice([0.0, 0.05, 0.3])
+    lines = [rng.choice(["A,B,C,Y", "Y,C,B,A,extra", " A ,B,C,Y"])]
+    for _ in range(rng.randrange(0, 7)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(rng.choice(["", " ", ","]))
+            continue
+        width = 5 if roll > 0.2 else rng.randrange(1, 5)
+        lines.append(",".join(
+            rng.choice(TRICKY_CELLS) if rng.random() < tricky
+            else rng.choice([str(rng.randrange(-9, 10)), repr(rng.uniform(-1e3, 1e3))])
+            for _ in range(width)
+        ))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _load_outcome(loader, path, u):
+    try:
+        d = loader(path, "Y", u)
+    except RuledictError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return [(a.shape, a.strides, a.dtype, a.tobytes()) for a in (d.X, d.y)]
 
 
 class TestFitOls:
@@ -402,6 +463,37 @@ class TestSelectBest:
 
     def test_criteria_tuple(self):
         assert CRITERIA == ("aic", "bic", "adjr2", "cv")
+
+
+#: The seeds the pure-Python permutation is checked on: every seed
+#: below 300, and seeds of one to seven 32-bit words.
+PERMUTATION_SEEDS = [*range(300), 2**32 - 1, 2**32, 2**64 + 1, 2**127 + 9, 2**200 + 3, 42452]
+
+
+class TestPermutation:
+    """``_permutation`` is numpy's ``default_rng(seed).permutation(n)``, without ``numpy.random``."""
+
+    def test_matches_numpy(self):
+        for seed in PERMUTATION_SEEDS:
+            for n in (0, 1, 2, 3, 33, 257, 1000):
+                assert _permutation(seed, n) == np.random.default_rng(seed).permutation(n).tolist(), (seed, n)
+
+    def test_raw_outputs_match_numpy(self):
+        for seed in PERMUTATION_SEEDS[::7]:
+            raw = _pcg64(seed)
+            assert [next(raw) for _ in range(9)] == np.random.PCG64(seed).random_raw(9).tolist()
+
+    @pytest.mark.parametrize("seed, n, want", [
+        (0, 12, [9, 2, 7, 4, 5, 11, 0, 3, 6, 10, 8, 1]),
+        (2**64 + 1, 12, [6, 2, 8, 10, 1, 5, 3, 4, 7, 0, 9, 11]),
+    ])
+    def test_pinned(self, seed, n, want):
+        """Literal orders, so that a change on either side of the differential shows."""
+        assert _permutation(seed, n) == want
+        assert np.random.default_rng(seed).permutation(n).tolist() == want
+
+    def test_numpy_integer_seed(self):
+        assert _permutation(np.int64(7), 50) == _permutation(7, 50)
 
 
 def _ranked_bits(ranked):
