@@ -171,33 +171,34 @@ def _write_dictionary(write, d: Dictionary) -> None:
 
 
 def _write_ranking(u: Universe, ranked) -> None:
-    """Write the ranking to stdout, then its table to stderr, each model's text made as it is written.
+    """Write the ranking to stdout, then its table to stderr, from the block that ``select_best`` ranked.
 
     Stdout is byte for byte ``json.dumps(payload, indent=2)`` and a newline,
     where ``payload`` lists ``{"subset", "score", "intercept",
     "coefficients"}`` per model and a ``-inf`` score is the string
-    ``"-inf"``. Each name is quoted once, and finite floats are written
-    with ``float.__repr__``, as ``json`` writes them.
+    ``"-inf"``. Each name is quoted once. A model's values are written with
+    one ``map(float.__repr__, ...)``, as ``json`` writes finite floats, when
+    their sum is finite, and by :func:`_number` otherwise. Each model's
+    text is made as it is written.
     """
     quoted = [json.dumps(name) for name in u.names]
-    models = ranked.models
 
     def items():
         sep = "[\n  "
-        for m in models:
-            mask = m.subset.mask
-            idx = [i for i in range(u.size) if mask >> i & 1]
+        for mask, values in ranked._ranked():
+            texts = list(map(float.__repr__ if math.isfinite(sum(values)) else _number, values))
+            idx = [i for i in range(mask.bit_length()) if mask >> i & 1]
             if idx:
                 subset = "[\n      " + ",\n      ".join([quoted[i] for i in idx]) + "\n    ]"
                 coefficients = "{\n      " + ",\n      ".join(
-                    [f"{quoted[i]}: {_number(c)}" for i, c in zip(idx, m.coefficients)]
+                    [f"{quoted[i]}: {text}" for i, text in zip(idx, texts[2:])]
                 ) + "\n    }"
             else:
                 subset, coefficients = "[]", "{}"
-            score = '"-inf"' if m.score == -math.inf else _number(m.score)
+            score = '"-inf"' if values[0] == -math.inf else texts[0]
             yield (
                 f'{sep}{{\n    "subset": {subset},\n    "score": {score},\n'
-                f'    "intercept": {_number(m.intercept)},\n    "coefficients": {coefficients}\n  }}'
+                f'    "intercept": {texts[1]},\n    "coefficients": {coefficients}\n  }}'
             )
             sep = ",\n  "
         yield "\n]\n"
@@ -205,7 +206,10 @@ def _write_ranking(u: Universe, ranked) -> None:
     _write_pieces(sys.stdout.write, items())
     write = sys.stderr.write
     write(f"criterion: {ranked.criterion}\n{'rank':>4}  {'score':>14}  subset\n")
-    _write_pieces(write, (f"{i:>4}  {m.score:>14.6g}  {m.subset.to_text()}\n" for i, m in enumerate(models, 1)))
+    _write_pieces(write, (
+        f"{rank:>4}  {values[0]:>14.6g}  {{{','.join([u.names[i] for i in range(mask.bit_length()) if mask >> i & 1])}}}\n"
+        for rank, (mask, values) in enumerate(ranked._ranked(), 1)
+    ))
 
 
 def _number(value: float) -> str:

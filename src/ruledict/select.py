@@ -191,8 +191,11 @@ def fit_ols(d: Dataset, s: VarSet) -> FitResult:
 
     Uses an orthogonal decomposition (numpy lstsq) rather than the
     normal equations. Rank deficiency is an error: silently dropping a
-    column would change which subset was actually fitted.
+    column would change which subset was actually fitted. So is a subset
+    of another universe, whose names would pick the columns in its order.
     """
+    if s.universe != d.universe:
+        raise SchemaMismatch("subset and dataset use different universes")
     Z, tss = _shared(d)
     return _fit(Z, d.y, [0] + [d.universe.index(name) + 1 for name in s], s, tss)
 
@@ -231,11 +234,60 @@ class ScoredModel(Record):
 
 
 class RankedModels(Record):
-    """All fitted models for one run, best first."""
+    """All fitted models for one run, best first.
 
-    __slots__ = ("criterion", "models")
+    A ranking from :func:`select_best` keeps its fits in one float64 block
+    with one index order over it, and builds ``models`` when first read.
+    """
+
+    __slots__ = ("criterion", "models", "_block")
     criterion: str
     models: tuple[ScoredModel, ...]
+
+    @classmethod
+    def _of_block(cls, criterion: str, u: Universe, masks: tuple[int, ...], block: np.ndarray) -> RankedModels:
+        """The models ``masks``, whose score, intercept and coefficients follow each other in ``block``,
+        ranked by score, then subset size, then mask.
+
+        A NaN score compares false both ways, so only Python's sort of the
+        key tuples in mask order puts it where that sort does.
+        """
+        sizes = np.fromiter(map(int.bit_count, masks), np.int64, len(masks))
+        offsets = np.zeros(len(masks) + 1, np.int64)
+        np.cumsum(sizes + 2, out=offsets[1:])
+        scores = block[offsets[:-1]]
+        if np.isnan(scores).any():
+            keys = scores.tolist()
+            order = np.array(sorted(range(len(masks)), key=lambda i: (keys[i], masks[i].bit_count(), masks[i])))
+        else:
+            order = np.lexsort((np.fromiter(masks, np.uint64, len(masks)), sizes, scores))
+        ranked = object.__new__(cls)
+        cls.criterion.__set__(ranked, criterion)
+        cls._block.__set__(ranked, (u, masks, block, offsets, order))
+        return ranked
+
+    def __getattr__(self, name: str):
+        # Reached when lookup fails: the empty models slot of a ranking made by _of_block is built here.
+        if name != "models":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        u = self._block[0]
+        models = tuple([ScoredModel(VarSet(u, mask), values[0], values[1], tuple(values[2:]))
+                        for mask, values in self._ranked()])
+        RankedModels.models.__set__(self, models)
+        return models
+
+    def _ranked(self):
+        """Each model's mask and its values as floats, score first, in rank order:
+        256 models at a time, gathered from the block by one index array."""
+        _, masks, block, offsets, order = self._block
+        for start in range(0, len(order), 256):
+            rows = order[start:start + 256]
+            firsts, lens = offsets[rows], offsets[rows + 1] - offsets[rows]
+            values = block[np.repeat(firsts + lens - np.cumsum(lens), lens) + np.arange(lens.sum())].tolist()
+            at = 0
+            for row, n in zip(rows.tolist(), lens.tolist()):
+                yield masks[row], values[at:at + n]
+                at += n
 
     @property
     def best(self) -> ScoredModel:
@@ -377,8 +429,8 @@ def _publish(shared: mmap.mmap, start: int, flat: list[float], done: int) -> Non
     shared[done] = 1
 
 
-def _run_chunks(run, masks: tuple[int, ...]) -> list[float]:
-    """``run(masks)``, computed by chunks of :data:`_CHUNK` masks in forked workers.
+def _run_chunks(run, masks: tuple[int, ...]) -> np.ndarray:
+    """``run(masks)`` as a float64 array, computed by chunks of :data:`_CHUNK` masks in forked workers.
 
     ``run`` maps masks to a flat list of ``2 + popcount`` floats per mask.
     One worker is forked per usable CPU beyond the first, and this
@@ -388,21 +440,20 @@ def _run_chunks(run, masks: tuple[int, ...]) -> list[float]:
     stderr. A chunk that no process stored is run here, in mask order, so
     an error is the one ``run(masks)`` raises. Without fork, with one
     usable CPU or chunk, or while another thread runs in this process,
-    this is ``run(masks)``.
+    every chunk is run here. The array is a view of the block, which is
+    unmapped when the array goes.
     """
     chunks = [masks[i:i + _CHUNK] for i in range(0, len(masks), _CHUNK)]
-    procs = min(_usable_cpus(), len(chunks))
-    if (procs < 2 or not hasattr(os, "fork") or not hasattr(os, "memfd_create")
-            or not _single_threaded()):
-        return run(masks)
     ends = list(itertools.accumulate(sum(2 + m.bit_count() for m in c) for c in chunks))
     starts = [0, *ends[:-1]]
     done_at = 8 * ends[-1]  # a done byte per chunk follows the floats
-    with mmap.mmap(-1, done_at + len(chunks)) as shared:
+    shared = mmap.mmap(-1, done_at + len(chunks))
 
-        def store(c: int) -> None:
-            _publish(shared, 8 * starts[c], run(chunks[c]), done_at + c)
+    def store(c: int) -> None:
+        _publish(shared, 8 * starts[c], run(chunks[c]), done_at + c)
 
+    procs = min(_usable_cpus(), len(chunks))
+    if procs > 1 and hasattr(os, "fork") and hasattr(os, "memfd_create") and _single_threaded():
         queue = os.memfd_create("ruledict-chunks")
         pids = []
         try:
@@ -434,10 +485,10 @@ def _run_chunks(run, masks: tuple[int, ...]) -> list[float]:
             os.close(queue)
             for pid in pids:
                 os.waitpid(pid, 0)
-        for c in range(len(chunks)):
-            if not shared[done_at + c]:
-                store(c)
-        return list(struct.unpack_from(f"{ends[-1]}d", shared))
+    for c in range(len(chunks)):
+        if not shared[done_at + c]:
+            store(c)
+    return np.frombuffer(shared, np.float64, ends[-1])
 
 
 def select_best(
@@ -455,7 +506,9 @@ def select_best(
     full-data fit. ``seed`` shuffles rows before blocking into folds;
     ``folds`` and ``seed`` are errors for the other criteria, and
     ``seed`` must be non-negative. Ties rank the smaller subset first,
-    then canonical subset order.
+    then canonical subset order; ``-0.0`` ties with ``0.0``. A NaN score
+    ranks where Python's sort of the ``(score, size, mask)`` tuples of the
+    models in mask order puts it.
 
     The models are fitted in chunks of :data:`_CHUNK` masks, shared
     among this process and forked workers, one process per usable CPU,
@@ -463,9 +516,10 @@ def select_best(
     thread, so the fits are forked out only when numpy was loaded with
     one BLAS thread (``OPENBLAS_NUM_THREADS=1``, as the ``select``
     command sets it). Every process stores the chunks it fits in one
-    shared block, and the ranking is read from that block: the same bits
-    on any CPU count. An error is the one the first failing model in
-    mask order raises.
+    shared float64 block, and the ranking is one index order over that
+    block: the same bits on any CPU count, and no record or float object
+    per model until ``models`` is read. An error is the one the first
+    failing model in mask order raises.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -526,14 +580,4 @@ def select_best(
             flat.extend(fit.coefficients)
         return flat
 
-    flat = _run_chunks(run, masks)
-    scored = []
-    start = 0
-    for mask in masks:
-        end = start + 2 + mask.bit_count()
-        # By position, as in _fit: subset, score, intercept, coefficients.
-        scored.append(ScoredModel(VarSet(u, mask), flat[start], flat[start + 1],
-                                  tuple(flat[start + 2:end])))
-        start = end
-    scored.sort(key=lambda m: (m.score, len(m.subset), m.subset.mask))
-    return RankedModels(criterion=criterion, models=tuple(scored))
+    return RankedModels._of_block(criterion, u, masks, _run_chunks(run, masks))

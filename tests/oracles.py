@@ -231,6 +231,11 @@ def _cv_score(d: Dataset, s: VarSet, folds: int, order: np.ndarray) -> float:
     return total / d.n
 
 
+def rank_key(m: ScoredModel) -> tuple:
+    """The sort key of a model: score, then subset size, then mask."""
+    return m.score, len(m.subset), m.subset.mask
+
+
 def select_best(
     d: Dataset,
     D: Dictionary,
@@ -291,7 +296,7 @@ def select_best(
                 coefficients=fit.coefficients,
             )
         )
-    scored.sort(key=lambda m: (m.score, len(m.subset), m.subset.mask))
+    scored.sort(key=rank_key)
     return RankedModels(criterion=criterion, models=tuple(scored))
 
 

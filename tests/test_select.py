@@ -26,6 +26,8 @@ from ruledict.select import (
     CRITERIA,
     Dataset,
     FitResult,
+    RankedModels,
+    ScoredModel,
     _fold_bounds,
     _pcg64,
     _permutation,
@@ -264,6 +266,13 @@ class TestFitOls:
         d = Dataset(universe=abc, outcome="Y", X=X, y=rng.normal(size=30))
         with pytest.raises(RankDeficient):
             fit_ols(d, VarSet.of_names(abc, ["A", "B"]))
+
+    def test_subset_of_another_universe(self, abc):
+        # Over C,B,A,D the subset's names would pick the columns as (C, A).
+        d = linear_dataset(abc, n=30)
+        w = make_universe(["C", "B", "A", "D"])
+        with pytest.raises(SchemaMismatch):
+            fit_ols(d, VarSet.of_names(w, ["A", "C"]))
 
 
 class TestScore:
@@ -586,6 +595,42 @@ class TestMatchesFrozenReference:
         select_best(d, powerset(abc), "bic")
         message = self._same_error(d, powerset(abc), "cv", folds=5)
         assert message == "training fold design for {C} is rank deficient"
+
+
+#: Score draws that tie across subset sizes, hold perfect fits, signed zeros, or NaN.
+SCORE_DRAWS = {
+    "ties-across-sizes": [-2.5, 0.5, 1.0],
+    "perfect-fits": [-np.inf, -np.inf, 3.25, -1.0],
+    "signed-zeros": [-0.0, 0.0, 2.0],
+    "nan": [np.nan, np.nan, -np.inf, 0.0, 1.0, np.inf],
+}
+
+
+class TestRankOrder:
+    """A block's rank order is the key sort frozen in tests/oracles.py, NaN scores included."""
+
+    @pytest.mark.parametrize("kind", SCORE_DRAWS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_frozen_sort(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = 64 if seed < 2 else int(rng.integers(1, 65))
+        u = make_universe([f"v{i}" for i in range(n)])
+        draws = int(rng.integers(1, 600))
+        masks = tuple(sorted({int.from_bytes(rng.bytes(8), "little") & u.full_mask for _ in range(draws)}))
+        if n == 64:
+            assert masks[-1] >= 1 << 63
+        scores = rng.choice(SCORE_DRAWS[kind], len(masks))
+        block = np.concatenate([[score, *rng.normal(size=1 + m.bit_count())] for score, m in zip(scores, masks)])
+        # One float object per value, as the list of models in mask order held them.
+        values, models, at = block.tolist(), [], 0
+        for m in masks:
+            end = at + 2 + m.bit_count()
+            models.append(ScoredModel(VarSet(u, m), values[at], values[at + 1], tuple(values[at + 2:end])))
+            at = end
+        want = tuple(sorted(models, key=oracles.rank_key))
+        got = RankedModels._of_block("bic", u, masks, block).models
+        assert [m.subset.mask for m in got] == [m.subset.mask for m in want]
+        assert repr(got) == repr(want)
 
 
 @pytest.fixture
