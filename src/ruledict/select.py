@@ -15,7 +15,6 @@ import math
 import mmap
 import operator
 import os
-import struct
 import sys
 from array import array
 
@@ -380,8 +379,9 @@ def _cv_blocks(Z: np.ndarray, y: np.ndarray, folds: int, seed: int | None) -> li
     ``Z`` is Fortran-ordered, so a model's columns are whole-column copies.
     """
     n = y.shape[0]
-    order = np.arange(n) if seed is None else _permutation(seed, n)
-    Z, y = Z[order], y[order]
+    if seed is not None:
+        order = _permutation(seed, n)
+        Z, y = Z[order], y[order]
     blocks = []
     for start, end in _fold_bounds(n, folds):
         keep = np.concatenate([np.arange(0, start), np.arange(end, n)])
@@ -423,34 +423,31 @@ def _claims(queue: int):
         yield int.from_bytes(claim, "little")
 
 
-def _publish(shared: mmap.mmap, start: int, flat: list[float], done: int) -> None:
-    """Write one chunk's results at byte ``start``, then mark it done."""
-    struct.pack_into(f"{len(flat)}d", shared, start, *flat)
-    shared[done] = 1
-
-
 def _run_chunks(run, masks: tuple[int, ...]) -> np.ndarray:
-    """``run(masks)`` as a float64 array, computed by chunks of :data:`_CHUNK` masks in forked workers.
+    """The float64 array that ``run`` fills for ``masks``, by chunks of :data:`_CHUNK` masks in forked workers.
 
-    ``run`` maps masks to a flat list of ``2 + popcount`` floats per mask.
-    One worker is forked per usable CPU beyond the first, and this
-    process claims chunks as well. Every process stores each chunk it
-    runs in one shared block, as exact floats at places fixed by chunk
-    index; workers leave by ``os._exit`` without writing to stdout or
-    stderr. A chunk that no process stored is run here, in mask order, so
-    an error is the one ``run(masks)`` raises. Without fork, with one
-    usable CPU or chunk, or while another thread runs in this process,
-    every chunk is run here. The array is a view of the block, which is
-    unmapped when the array goes.
+    ``run(chunk, out)`` writes ``2 + popcount`` floats per mask of ``chunk``
+    into ``out``, a slice of one shared block fixed by chunk index. One
+    worker is forked per usable CPU beyond the first, and this process
+    claims chunks as well. A chunk counts once its done byte is set after
+    ``run`` returns; workers leave by ``os._exit`` without writing to
+    stdout or stderr. A chunk without its done byte, even one a worker
+    left half written, is run again here, in mask order, so an error is
+    the one a serial run raises. Without fork, with one usable CPU or
+    chunk, or while another thread runs in this process, every chunk is
+    run here. The array is a view of the block, which is unmapped when
+    the array goes.
     """
     chunks = [masks[i:i + _CHUNK] for i in range(0, len(masks), _CHUNK)]
     ends = list(itertools.accumulate(sum(2 + m.bit_count() for m in c) for c in chunks))
     starts = [0, *ends[:-1]]
     done_at = 8 * ends[-1]  # a done byte per chunk follows the floats
     shared = mmap.mmap(-1, done_at + len(chunks))
+    block = np.frombuffer(shared, np.float64, ends[-1])
 
     def store(c: int) -> None:
-        _publish(shared, 8 * starts[c], run(chunks[c]), done_at + c)
+        run(chunks[c], block[starts[c]:ends[c]])
+        shared[done_at + c] = 1
 
     procs = min(_usable_cpus(), len(chunks))
     if procs > 1 and hasattr(os, "fork") and hasattr(os, "memfd_create") and _single_threaded():
@@ -488,7 +485,7 @@ def _run_chunks(run, masks: tuple[int, ...]) -> np.ndarray:
     for c in range(len(chunks)):
         if not shared[done_at + c]:
             store(c)
-    return np.frombuffer(shared, np.float64, ends[-1])
+    return block
 
 
 def select_best(
@@ -515,8 +512,8 @@ def select_best(
     while no other thread runs here. A BLAS thread pool counts as such a
     thread, so the fits are forked out only when numpy was loaded with
     one BLAS thread (``OPENBLAS_NUM_THREADS=1``, as the ``select``
-    command sets it). Every process stores the chunks it fits in one
-    shared float64 block, and the ranking is one index order over that
+    command sets it). Every process writes the fits of its chunks straight
+    into one shared float64 block, and the ranking is one index order over that
     block: the same bits on any CPU count, and no record or float object
     per model until ``models`` is read. An error is the one the first
     failing model in mask order raises.
@@ -553,9 +550,9 @@ def select_best(
             )
         blocks = _cv_blocks(Z, y, folds, seed)
 
-    def run(chunk: tuple[int, ...]) -> list[float]:
-        """Score, intercept and coefficients of each model of ``chunk``, in one flat list."""
-        flat = []
+    def run(chunk: tuple[int, ...], out: np.ndarray) -> None:
+        """Write each model's score, intercept and coefficients into ``out``, one model after another."""
+        at = 0
         for mask in chunk:
             subset = VarSet(u, mask)
             cols = [0] + [i + 1 for i in range(u.size) if mask >> i & 1]
@@ -575,9 +572,7 @@ def select_best(
                 value = total / n
             else:
                 value = score(fit, criterion, n)
-            flat.append(value)
-            flat.append(fit.intercept)
-            flat.extend(fit.coefficients)
-        return flat
+            out[at:at + 1 + fit.k] = (value, fit.intercept, *fit.coefficients)
+            at += 1 + fit.k
 
     return RankedModels._of_block(criterion, u, masks, _run_chunks(run, masks))

@@ -154,6 +154,39 @@ def test_repeat_runs_are_byte_identical():
         assert first.stdout == second.stdout
 
 
+def _python310_env():
+    """The variables under which ``python3.10 -c pass`` exits 0, or None if none do.
+
+    A pyenv shim runs a command only from a selected version, so each
+    installed version that ``pyenv whence`` names is tried too.
+    """
+    try:
+        versions = subprocess.run(["pyenv", "whence", "python3.10"], capture_output=True, text=True).stdout
+    except OSError:
+        versions = ""
+    for extra in [{}] + [{"PYENV_VERSION": v} for v in versions.split()]:
+        try:
+            if subprocess.run(["python3.10", "-c", "pass"], env=_env(extra), capture_output=True).returncode == 0:
+                return extra
+        except OSError:
+            return None
+    return None
+
+
+def test_numpy_free_goldens_on_the_oldest_declared_python():
+    # pyproject.toml declares requires-python >= 3.10; select needs numpy, which that interpreter may lack.
+    extra = _python310_env()
+    if extra is None:
+        pytest.skip("no python3.10 runs here")
+    env = _env({**extra, "PYTHONPATH": os.path.join(ROOT, "src")})
+    for golden, code, argv in GOLDEN_CASES:
+        if argv[0] == "select":
+            continue
+        proc = subprocess.run(["python3.10", "-m", "ruledict.cli", *argv], capture_output=True, cwd=ROOT, env=env)
+        with open(os.path.join(ROOT, GOLDEN, golden), "rb") as fh:
+            assert (proc.returncode, proc.stdout) == (code, fh.read()), (argv, proc.stderr.decode()[-600:])
+
+
 def test_every_fixture_file_is_exercised():
     referenced = {path for _, _, argv in GOLDEN_CASES for path in argv if "/" in path}
     referenced |= {os.path.join(GOLDEN, g) for g, _, _ in GOLDEN_CASES}

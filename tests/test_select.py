@@ -698,11 +698,18 @@ class TestForkedWorkers:
         assert capfd.readouterr() == ("", "")
 
     def test_undelivered_chunks_are_rerun(self, two_processes, monkeypatch):
-        # A worker leaves after fitting its first chunk, before writing it back;
-        # this process stores its chunks as usual.
-        caller, publish = os.getpid(), ruledict.select._publish
-        monkeypatch.setattr(ruledict.select, "_publish",
-                            lambda *args: publish(*args) if os.getpid() == caller else os._exit(0))
+        # A worker leaves on its 20th fit, partway through its first chunk: the
+        # models before it are in the block, and the chunk's done byte is not set.
+        caller, lstsq, worker_fits = os.getpid(), np.linalg.lstsq, []
+
+        def leave_partway(*args, **kwargs):
+            if os.getpid() != caller:
+                worker_fits.append(1)
+                if len(worker_fits) == 20:
+                    os._exit(0)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", leave_partway)
         u = make_universe([f"x{i}" for i in range(10)])
         d = _seeded_dataset(u, 60, 37)
         for criterion, folds in (("aic", None), ("cv", 5)):
