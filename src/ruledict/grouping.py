@@ -67,12 +67,8 @@ class GroupingStructure(Record):
         return tuple(g.mask for g in self.groups)
 
     def is_disjoint(self) -> bool:
-        total = 0
-        for g in self.groups:
-            if total & g.mask:
-                return False
-            total |= g.mask
-        return True
+        # The groups cover the universe, so sizes sum to it only without overlap.
+        return sum(len(g) for g in self.groups) == self.universe.size
 
     def to_text(self) -> str:
         return "\n".join(g.to_text() for g in self.groups)
@@ -158,6 +154,12 @@ class CongruenceReport(Record):
     method_family: Dictionary | None
 
 
+def _compare(wanted: Dictionary, realised: Dictionary, **families) -> CongruenceReport:
+    missing = wanted.difference(realised)
+    extra = realised.difference(wanted)
+    return CongruenceReport(not missing and not extra, missing, extra, **families)
+
+
 def check_log_congruence(
     d: Dictionary, g: GroupingStructure, max_entries: int = DEFAULT_MAX_ENUM
 ) -> CongruenceReport:
@@ -167,14 +169,7 @@ def check_log_congruence(
     unions of groups, so this is an equality test against the union
     closure.
     """
-    closure = union_closure(g, max_entries)
-    missing = d.difference(closure)
-    extra = closure.difference(d)
-    return CongruenceReport(
-        congruent=not missing and not extra,
-        missing=missing,
-        extra=extra,
-    )
+    return _compare(d, union_closure(g, max_entries))
 
 
 def check_ogl_necessary(
@@ -191,15 +186,7 @@ def check_ogl_necessary(
     full = Dictionary.from_masks(u, (u.full_mask,))
     rule_family = d.difference(full)
     method_family = union_closure(g, max_entries).complements().difference(full)
-    missing = rule_family.difference(method_family)
-    extra = method_family.difference(rule_family)
-    return CongruenceReport(
-        congruent=not missing and not extra,
-        missing=missing,
-        extra=extra,
-        rule_family=rule_family,
-        method_family=method_family,
-    )
+    return _compare(rule_family, method_family, rule_family=rule_family, method_family=method_family)
 
 
 def synthesize_log_grouping(d: Dictionary) -> GroupingStructure:

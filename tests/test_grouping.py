@@ -1,10 +1,11 @@
 import random
 from functools import reduce
+from itertools import combinations
 from operator import or_
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ruledict.core import DEFAULT_MAX_ENUM, Dictionary, VarSet, make_universe, powerset
@@ -355,11 +356,17 @@ def near_closures(draw):
     return g, closure_by_sets(g.masks(), DEFAULT_MAX_ENUM) ^ toggled
 
 
+WIDE = make_universe([f"w{i}" for i in range(24)])
+
+
 class TestBitmapPathMatchesOracles:
     """The bitmap transforms against the pairwise and set-based references."""
 
     @given(groupings(), st.integers(-2, 1))
+    @example(GroupingStructure(WIDE, tuple(VarSet(WIDE, m) for m in (0xFFF, 0xFFF000, 0x1001))), 0)
+    @example(GroupingStructure(WIDE, tuple(VarSet(WIDE, m) for m in (0xFFF, 0xFFF000))), 0)
     def test_closure_and_its_cap(self, g, slack):
+        assert g.is_disjoint() == all(not a.mask & b.mask for a, b in combinations(g.groups, 2))
         cap = max(1, len(closure_by_sets(g.masks(), DEFAULT_MAX_ENUM)) + slack)
         try:
             want = closure_by_sets(g.masks(), cap)
