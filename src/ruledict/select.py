@@ -269,12 +269,11 @@ class RankedModels(Record):
         # Reached when lookup fails: the empty models slot of a ranking made by _of_block is built here.
         if name != "models":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        models = tuple([self._scored(mask, values) for mask, values in self._ranked()])
+        u = self._block[0]
+        models = tuple([ScoredModel(VarSet(u, mask), values[0], values[1], tuple(values[2:]))
+                        for mask, values in self._ranked()])
         RankedModels.models.__set__(self, models)
         return models
-
-    def _scored(self, mask: int, values: list[float]) -> ScoredModel:
-        return ScoredModel(VarSet(self._block[0], mask), values[0], values[1], tuple(values[2:]))
 
     def _ranked(self):
         """Each model's mask and its values as floats, score first, in rank order:
@@ -291,10 +290,7 @@ class RankedModels(Record):
 
     @property
     def best(self) -> ScoredModel:
-        try:
-            return RankedModels.models.__get__(self)[0]
-        except AttributeError:  # models unread: build the first model alone, not all of them
-            return self._scored(*next(self._ranked()))
+        return self.models[0]
 
     def ranking(self) -> list[tuple[VarSet, float]]:
         return [(m.subset, m.score) for m in self.models]
