@@ -11,6 +11,7 @@ package. So is :mod:`ruledict.grouping`, which evaluation does not need.
 """
 
 import importlib
+import types
 
 from .core import (
     DEFAULT_MAX_ENUM,
@@ -93,76 +94,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "And",
-    "ArityMismatch",
-    "CongruenceReport",
-    "ConstantOutcome",
-    "ConstraintSet",
-    "Dataset",
-    "DatasetTooSmall",
-    "DEFAULT_MAX_ENUM",
-    "Dictionary",
-    "DuplicateVariable",
-    "EmptyDictionary",
-    "EnumerationTooLarge",
-    "FitResult",
-    "format_rule",
-    "GroupingStructure",
-    "Implies",
-    "IncompatibleGrouping",
-    "InvalidGrouping",
-    "InvalidStageResult",
-    "is_coherent",
-    "make_universe",
-    "MAX_UNIVERSE",
-    "Method",
-    "method_rule",
-    "MissingStageResult",
-    "MissingValue",
-    "Not",
-    "Or",
-    "ParseError",
-    "parse_rule",
-    "powerset",
-    "RankDeficient",
-    "RankedModels",
-    "read_rule_document",
-    "RuledictError",
-    "RuleExpr",
-    "rule_from_dictionary",
-    "rules_equivalent",
-    "SchemaMismatch",
-    "ScoredModel",
-    "Sequential",
-    "SequentialScopeWarning",
-    "sequential_nodes",
-    "SourceSpan",
-    "StageResult",
-    "stage_outcomes",
-    "SynthesisFailure",
-    "Underdetermined",
-    "unit_dictionary",
-    "Unit",
-    "UnitRule",
-    "Universe",
-    "UniverseTooLarge",
-    "UnknownVariable",
-    "UnsupportedForEquivalence",
-    "UseClosureInstead",
-    "VarSet",
-    "check_compatibility",
-    "check_log_congruence",
-    "check_ogl_necessary",
-    "combine",
-    "dictionary_support",
-    "eval_rule",
-    "expr_from_json_obj",
-    "expr_to_json_obj",
-    "fit_ols",
-    "load_dataset",
-    "score",
-    "select_best",
-    "synthesize_log_grouping",
-    "union_closure",
-]
+# Every name imported above that is neither private nor a module, then every lazy name.
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+__all__ += [n for names in _LAZY.values() for n in names]

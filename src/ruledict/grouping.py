@@ -82,44 +82,31 @@ class GroupingStructure(Record):
 
     @classmethod
     def from_json_obj(cls, u: Universe, obj) -> "GroupingStructure":
-        if not isinstance(obj, list) or not all(isinstance(entry, list) for entry in obj):
+        if not isinstance(obj, list) or not all(
+            isinstance(e, list) and all(isinstance(name, str) for name in e) for e in obj
+        ):
             raise InvalidGrouping("grouping JSON must be an array of name arrays")
-        return cls(u, tuple(VarSet.of_names(u, entry) for entry in obj))
+        return cls(u, tuple(VarSet.of_names(u, e) for e in obj))
 
 
 class Method(enum.Enum):
     """Penalised selection methods with a known pattern family."""
 
-    LASSO = "lasso"
-    ADAPTIVE_LASSO = "adaptive-lasso"
-    GROUP_LASSO = "group-lasso"
-    EXCLUSIVE_GROUP_LASSO = "exclusive-group-lasso"
-    LATENT_OVERLAPPING_GROUP_LASSO = "latent-overlapping-group-lasso"
+    LASSO = ("lasso", "Lasso", "sum of absolute coefficients")
+    ADAPTIVE_LASSO = ("adaptive-lasso", "Adaptive Lasso", "weighted sum of absolute coefficients")
+    GROUP_LASSO = ("group-lasso", "Group Lasso", "sum of euclidean norms over disjoint groups")
+    EXCLUSIVE_GROUP_LASSO = ("exclusive-group-lasso", "Exclusive Group Lasso",
+                             "sum of squared l1 norms over disjoint groups")
+    LATENT_OVERLAPPING_GROUP_LASSO = ("latent-overlapping-group-lasso", "Latent Overlapping Group Lasso",
+                                      "infimum over latent decompositions of group norms")
 
-    @property
-    def display_name(self) -> str:
-        return _METHOD_DISPLAY[self]
+    def __new__(cls, value: str, display_name: str, penalty: str):
+        member = object.__new__(cls)
+        member._value_, member._display_name, member._penalty = value, display_name, penalty
+        return member
 
-    @property
-    def penalty_description(self) -> str:
-        return _METHOD_PENALTY[self]
-
-
-_METHOD_DISPLAY = {
-    Method.LASSO: "Lasso",
-    Method.ADAPTIVE_LASSO: "Adaptive Lasso",
-    Method.GROUP_LASSO: "Group Lasso",
-    Method.EXCLUSIVE_GROUP_LASSO: "Exclusive Group Lasso",
-    Method.LATENT_OVERLAPPING_GROUP_LASSO: "Latent Overlapping Group Lasso",
-}
-
-_METHOD_PENALTY = {
-    Method.LASSO: "sum of absolute coefficients",
-    Method.ADAPTIVE_LASSO: "weighted sum of absolute coefficients",
-    Method.GROUP_LASSO: "sum of euclidean norms over disjoint groups",
-    Method.EXCLUSIVE_GROUP_LASSO: "sum of squared l1 norms over disjoint groups",
-    Method.LATENT_OVERLAPPING_GROUP_LASSO: "infimum over latent decompositions of group norms",
-}
+    display_name = property(lambda self: self._display_name)
+    penalty_description = property(lambda self: self._penalty)
 
 
 def union_closure(g: GroupingStructure, max_entries: int = DEFAULT_MAX_ENUM) -> Dictionary:

@@ -1178,6 +1178,19 @@ class TestSelectCommand:
         )
         assert proc.returncode == 2
 
+    def test_parser_criteria_are_select_criteria(self, capsys):
+        # cli lists the choices by hand: it may not import select, and so numpy, before a select job.
+        from ruledict.cli import build_parser
+        from ruledict.select import CRITERIA
+
+        argv = ["select", "--rule", "r.rule", "--data", "d.csv", "--outcome", "Y", "--criterion"]
+        for criterion in CRITERIA:
+            assert build_parser().parse_args([*argv, criterion]).criterion == criterion
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "mdl"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mdl'" in capsys.readouterr().err
+
     def test_constant_outcome_with_adjr2_is_one_error_line(self, tmp_path):
         data = tmp_path / "flat.csv"
         data.write_text("A,B,C,Y\n" + "".join(f"{i},{i * i % 7},{-i},2\n" for i in range(12)))
@@ -1386,7 +1399,9 @@ class TestArgumentErrors:
 
 IMPORT_GUARD = textwrap.dedent(
     """
-    import contextlib, io, sys
+    import contextlib, io, sys, types
+    import ruledict
+    assert not {"ruledict.grouping", "ruledict.select"} & set(sys.modules), "import ruledict loaded a lazy module"
     import ruledict.cli
 
     def main(*argv):
@@ -1433,6 +1448,10 @@ IMPORT_GUARD = textwrap.dedent(
     names = {}
     exec("from ruledict import *", names)
     assert set(ruledict.__all__) <= set(names), set(ruledict.__all__) - set(names)
+    # __all__ is the package's public imports then its lazy names, each once.
+    assert len(set(ruledict.__all__)) == len(ruledict.__all__)
+    assert not [n for n in ruledict.__all__ if n.startswith("_") or isinstance(names[n], types.ModuleType)]
+    assert {n for lazy in ruledict._LAZY.values() for n in lazy} <= set(ruledict.__all__)
     try:
         ruledict.no_such_name
     except AttributeError:

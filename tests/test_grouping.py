@@ -1,3 +1,4 @@
+import pickle
 import random
 from functools import reduce
 from itertools import combinations
@@ -120,6 +121,8 @@ class TestGroupingStructure:
             GroupingStructure.from_json_obj(abcd, {"groups": []})
         with pytest.raises(InvalidGrouping):
             GroupingStructure.from_json_obj(abcd, ["A", "B"])
+        with pytest.raises(InvalidGrouping, match="^grouping JSON must be an array of name arrays$"):
+            GroupingStructure.from_json_obj(abcd, [["A", 1], ["B"]])
 
 
 class TestUnionClosure:
@@ -564,9 +567,27 @@ class TestCompatibility:
         assert check_compatibility(Method.LATENT_OVERLAPPING_GROUP_LASSO, overlap)
 
     def test_display_metadata(self):
-        for m in Method:
-            assert m.display_name
-            assert m.penalty_description
+        texts = {
+            Method.LASSO: ("lasso", "Lasso", "sum of absolute coefficients"),
+            Method.ADAPTIVE_LASSO: (
+                "adaptive-lasso", "Adaptive Lasso", "weighted sum of absolute coefficients"),
+            Method.GROUP_LASSO: (
+                "group-lasso", "Group Lasso", "sum of euclidean norms over disjoint groups"),
+            Method.EXCLUSIVE_GROUP_LASSO: (
+                "exclusive-group-lasso", "Exclusive Group Lasso",
+                "sum of squared l1 norms over disjoint groups"),
+            Method.LATENT_OVERLAPPING_GROUP_LASSO: (
+                "latent-overlapping-group-lasso", "Latent Overlapping Group Lasso",
+                "infimum over latent decompositions of group norms"),
+        }
+        assert list(texts) == list(Method)
+        for m, triple in texts.items():
+            assert (m.value, m.display_name, m.penalty_description) == triple
+            assert Method(triple[0]) is m
+            assert pickle.loads(pickle.dumps(m)) is m
+            for prop in ("display_name", "penalty_description"):
+                with pytest.raises(AttributeError):
+                    setattr(m, prop, "x")
 
 
 class TestMethodRule:
