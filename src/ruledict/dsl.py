@@ -349,7 +349,7 @@ def format_rule(expr: RuleExpr) -> str:
             raise TypeError(f"not a rule expression: {node!r}")
         level, word, right_assoc = _SYNTAX[type(node)]
         if level == _LEVEL_ATOM:
-            parts = [f"select {node.rule.constraint.to_text()} of {{{','.join(node.rule.scope)}}}"]
+            parts = [f"select {node.rule.constraint.to_text()} of {node.rule.scope.to_text()}"]
         elif level == _LEVEL_NOT:
             parts = [word, (node.child, level, False)]
         else:

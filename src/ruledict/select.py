@@ -10,7 +10,6 @@ bit-for-bit identical; shuffling is opt-in via a seed.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import mmap
 import operator
@@ -244,16 +243,15 @@ class RankedModels(Record):
     models: tuple[ScoredModel, ...]
 
     @classmethod
-    def _of_block(cls, criterion: str, u: Universe, masks: tuple[int, ...], block: np.ndarray) -> RankedModels:
-        """The models ``masks``, whose score, intercept and coefficients follow each other in ``block``,
-        ranked by score, then subset size, then mask.
+    def _of_block(cls, criterion: str, u: Universe, masks: tuple[int, ...], block: np.ndarray,
+                  offsets: np.ndarray) -> RankedModels:
+        """The models ``masks``, model ``i``'s score, intercept and coefficients
+        at ``block[offsets[i]:offsets[i + 1]]``, ranked by score, then subset size, then mask.
 
         A NaN score compares false both ways, so only Python's sort of the
         key tuples in mask order puts it where that sort does.
         """
-        sizes = np.fromiter(map(int.bit_count, masks), np.int64, len(masks))
-        offsets = np.zeros(len(masks) + 1, np.int64)
-        np.cumsum(sizes + 2, out=offsets[1:])
+        sizes = np.diff(offsets) - 2
         scores = block[offsets[:-1]]
         if np.isnan(scores).any():
             keys = scores.tolist()
@@ -277,16 +275,13 @@ class RankedModels(Record):
 
     def _ranked(self):
         """Each model's mask and its values as floats, score first, in rank order:
-        256 models at a time, gathered from the block by one index array."""
+        256 models at a time, each read from the block at its offsets."""
         _, masks, block, offsets, order = self._block
+        values = memoryview(block)  # its slices list their floats faster than numpy's
         for start in range(0, len(order), 256):
             rows = order[start:start + 256]
-            firsts, lens = offsets[rows], offsets[rows + 1] - offsets[rows]
-            values = block[np.repeat(firsts + lens - np.cumsum(lens), lens) + np.arange(lens.sum())].tolist()
-            at = 0
-            for row, n in zip(rows.tolist(), lens.tolist()):
-                yield masks[row], values[at:at + n]
-                at += n
+            for row, first, end in zip(rows.tolist(), offsets[rows].tolist(), offsets[rows + 1].tolist()):
+                yield masks[row], values[first:end].tolist()
 
     @property
     def best(self) -> ScoredModel:
@@ -423,38 +418,38 @@ def _claims(queue: int):
         yield int.from_bytes(claim, "little")
 
 
-def _run_chunks(run, masks: tuple[int, ...]) -> np.ndarray:
-    """The float64 array that ``run`` fills for ``masks``, by chunks of :data:`_CHUNK` masks in forked workers.
+def _run_chunks(run, offsets: np.ndarray) -> np.ndarray:
+    """The float64 block that ``run`` fills, by chunks of :data:`_CHUNK` models in forked workers.
 
-    ``run(chunk, out)`` writes ``2 + popcount`` floats per mask of ``chunk``
-    into ``out``, a slice of one shared block fixed by chunk index. One
-    worker is forked per usable CPU beyond the first, and this process
-    claims chunks as well. A chunk counts once its done byte is set after
-    ``run`` returns; workers leave by ``os._exit`` without writing to
-    stdout or stderr. A chunk without its done byte, even one a worker
-    left half written, is run again here, in mask order, so an error is
-    the one a serial run raises. Without fork, with one usable CPU or
-    chunk, or while another thread runs in this process, every chunk is
-    run here. The array is a view of the block, which is unmapped when
-    the array goes.
+    ``run(first, end, block)`` writes models ``first`` to ``end - 1`` into
+    the shared ``block`` of ``offsets[-1]`` floats, model ``i`` at
+    ``offsets[i]``. One worker is forked per usable CPU beyond the first,
+    and this process claims chunks as well. A chunk counts once its done
+    byte is set after ``run`` returns; workers leave by ``os._exit``
+    without writing to stdout or stderr. A chunk without its done byte,
+    even one a worker left half written, is run again here, in mask
+    order, so an error is the one a serial run raises. Without fork, with
+    one usable CPU or chunk, or while another thread runs in this
+    process, every chunk is run here. The block is a view of a shared
+    mapping, which is unmapped when the block goes.
     """
-    chunks = [masks[i:i + _CHUNK] for i in range(0, len(masks), _CHUNK)]
-    ends = list(itertools.accumulate(sum(2 + m.bit_count() for m in c) for c in chunks))
-    starts = [0, *ends[:-1]]
-    done_at = 8 * ends[-1]  # a done byte per chunk follows the floats
-    shared = mmap.mmap(-1, done_at + len(chunks))
-    block = np.frombuffer(shared, np.float64, ends[-1])
+    models = len(offsets) - 1
+    chunks = -(-models // _CHUNK)
+    size = int(offsets[-1])
+    done_at = 8 * size  # a done byte per chunk follows the floats
+    shared = mmap.mmap(-1, done_at + chunks)
+    block = np.frombuffer(shared, np.float64, size)
 
     def store(c: int) -> None:
-        run(chunks[c], block[starts[c]:ends[c]])
+        run(c * _CHUNK, min((c + 1) * _CHUNK, models), block)
         shared[done_at + c] = 1
 
-    procs = min(_usable_cpus(), len(chunks))
+    procs = min(_usable_cpus(), chunks)
     if procs > 1 and hasattr(os, "fork") and hasattr(os, "memfd_create") and _single_threaded():
         queue = os.memfd_create("ruledict-chunks")
         pids = []
         try:
-            os.write(queue, b"".join(c.to_bytes(4, "little") for c in range(len(chunks))))
+            os.write(queue, b"".join(c.to_bytes(4, "little") for c in range(chunks)))
             os.lseek(queue, 0, os.SEEK_SET)
             sys.stdout.flush()
             sys.stderr.flush()
@@ -482,7 +477,7 @@ def _run_chunks(run, masks: tuple[int, ...]) -> np.ndarray:
             os.close(queue)
             for pid in pids:
                 os.waitpid(pid, 0)
-    for c in range(len(chunks)):
+    for c in range(chunks):
         if not shared[done_at + c]:
             store(c)
     return block
@@ -541,6 +536,8 @@ def select_best(
     u, n, y = d.universe, d.n, d.y
     Z, tss = _shared(d)
     masks = D.masks()
+    offsets = np.zeros(len(masks) + 1, np.int64)
+    np.cumsum(np.fromiter(map(int.bit_count, masks), np.int64, len(masks)) + 2, out=offsets[1:])
     if criterion == "cv":
         largest = max(m.bit_count() for m in masks)
         min_train = n - max(end - start for start, end in _fold_bounds(n, folds))
@@ -550,10 +547,9 @@ def select_best(
             )
         blocks = _cv_blocks(Z, y, folds, seed)
 
-    def run(chunk: tuple[int, ...], out: np.ndarray) -> None:
-        """Write each model's score, intercept and coefficients into ``out``, one model after another."""
-        at = 0
-        for mask in chunk:
+    def run(first: int, end: int, block: np.ndarray) -> None:
+        """Write each model's score, intercept and coefficients into ``block`` at its offset."""
+        for mask, at in zip(masks[first:end], offsets[first:end].tolist()):
             subset = VarSet(u, mask)
             cols = [0] + [i + 1 for i in range(u.size) if mask >> i & 1]
             fit = _fit(Z, y, cols, subset, tss)
@@ -572,7 +568,6 @@ def select_best(
                 value = total / n
             else:
                 value = score(fit, criterion, n)
-            out[at:at + 1 + fit.k] = (value, fit.intercept, *fit.coefficients)
-            at += 1 + fit.k
+            block[at:at + 1 + fit.k] = (value, fit.intercept, *fit.coefficients)
 
-    return RankedModels._of_block(criterion, u, masks, _run_chunks(run, masks))
+    return RankedModels._of_block(criterion, u, masks, _run_chunks(run, offsets), offsets)

@@ -1356,7 +1356,8 @@ class TestRankingWriter:
                        rng.normal(size=1 + m.bit_count()))]
             for m in masks
         ])
-        ranked = RankedModels._of_block("aic", u, masks, block)
+        offsets = np.cumsum([0] + [2 + m.bit_count() for m in masks])
+        ranked = RankedModels._of_block("aic", u, masks, block, offsets)
         monkeypatch.setattr(cli, "_WRITE_BYTES", 1000)
         writes = [_record_writes(monkeypatch, stream) for stream in ("stdout", "stderr")]
         cli._write_ranking(u, ranked)

@@ -628,7 +628,8 @@ class TestRankOrder:
             models.append(ScoredModel(VarSet(u, m), values[at], values[at + 1], tuple(values[at + 2:end])))
             at = end
         want = tuple(sorted(models, key=oracles.rank_key))
-        got = RankedModels._of_block("bic", u, masks, block).models
+        offsets = np.cumsum([0] + [2 + m.bit_count() for m in masks])
+        got = RankedModels._of_block("bic", u, masks, block, offsets).models
         assert [m.subset.mask for m in got] == [m.subset.mask for m in want]
         assert repr(got) == repr(want)
 
@@ -666,7 +667,8 @@ class TestForkedWorkers:
             assert _ranked_bits(got) == _ranked_bits(want), (criterion, folds, cv_seed)
         _assert_no_children()
 
-    def test_mask_tuple_dictionary(self, two_processes):
+    def test_mask_tuple_dictionary(self, two_processes, monkeypatch):
+        # The forked run's block is byte for byte the block one process writes.
         u = make_universe([f"v{i}" for i in range(23)])
         rng = np.random.default_rng(29)
         D = Dictionary.from_masks(u, [
@@ -674,11 +676,21 @@ class TestForkedWorkers:
             for _ in range(600)
         ])
         assert u.size > BITMAP_MAX_VARS and len(D) > 3 * ruledict.select._CHUNK
+        assert len(D) % ruledict.select._CHUNK, "the last chunk should be partial"
         d = _seeded_dataset(u, 80, 29)
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         for criterion, folds, cv_seed in RUNS:
+            del forks[:]
             got = select_best(d, D, criterion, folds=folds, seed=cv_seed)
+            assert forks, "no worker was forked"
             want = oracles.select_best(d, D, criterion, folds=folds, seed=cv_seed)
             assert _ranked_bits(got) == _ranked_bits(want), (criterion, folds, cv_seed)
+            with monkeypatch.context() as one_process:
+                one_process.setattr(ruledict.select, "_usable_cpus", lambda: 1)
+                one_process.setattr(os, "fork", _forbidden_fork)
+                alone = select_best(d, D, criterion, folds=folds, seed=cv_seed)
+            assert got._block[2].tobytes() == alone._block[2].tobytes(), (criterion, folds, cv_seed)
         _assert_no_children()
 
     def test_late_rank_deficiency_raises_the_serial_error(self, two_processes, capfd):
