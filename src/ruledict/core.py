@@ -111,8 +111,12 @@ class Record:
 class Universe(Record):
     """An ordered, immutable set of covariate names with stable indices."""
 
-    __slots__ = ("names",)
+    __slots__ = ("names", "_index")
     names: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        # Name to index, the first occurrence winning as with ``names.index``.
+        object.__setattr__(self, "_index", {n: i for i, n in reversed(list(enumerate(self.names)))})
 
     @property
     def size(self) -> int:
@@ -132,12 +136,12 @@ class Universe(Record):
             If the universe has no covariate called ``name``.
         """
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name is no name either
             raise UnknownVariable(f"unknown variable {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self.names
+        return name in self._index
 
 
 def make_universe(names: Iterable[str]) -> Universe:
@@ -196,10 +200,7 @@ class VarSet(Record):
         UnknownVariable
             If any name is not in ``universe``.
         """
-        mask = 0
-        for n in names:
-            mask |= 1 << universe.index(n)
-        return cls(universe, mask)
+        return cls.of_indices(universe, map(universe.index, names))
 
     @classmethod
     def of_indices(cls, universe: Universe, indices: Iterable[int]) -> "VarSet":
@@ -571,11 +572,7 @@ class Dictionary:
     @classmethod
     def from_json_obj(cls, universe: Universe, obj) -> "Dictionary":
         """Parse what :meth:`to_json_obj` writes; anything but arrays of names is a ParseError."""
-        if not isinstance(obj, list) or not all(
-            isinstance(e, list) and all(isinstance(name, str) for name in e) for e in obj
-        ):
-            raise ParseError("dictionary JSON must be an array of name arrays")
-        return cls(universe, (VarSet.of_names(universe, e) for e in obj))
+        return cls(universe, read_name_arrays(universe, obj, ParseError, "dictionary"))
 
     def __repr__(self) -> str:
         return f"Dictionary({len(self)} entries)"
@@ -645,6 +642,15 @@ def read_brace_lines(universe: Universe, text: str) -> Iterator[VarSet]:
         line = raw.split("#", 1)[0].strip()
         if line:
             yield parse_braced_names(universe, line, f"line {lineno}")
+
+
+def read_name_arrays(universe: Universe, obj, error: type[Exception], what: str) -> tuple[VarSet, ...]:
+    """The sets of a JSON array of name arrays; any other shape raises ``error`` about ``what`` JSON."""
+    if not isinstance(obj, list) or not all(
+        isinstance(e, list) and all(isinstance(name, str) for name in e) for e in obj
+    ):
+        raise error(f"{what} JSON must be an array of name arrays")
+    return tuple(VarSet.of_names(universe, e) for e in obj)
 
 
 class ConstraintSet(Record):

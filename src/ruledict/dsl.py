@@ -216,12 +216,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "lbrace":
             self.advance()
-            values = [self.int_value()]
-            while self.peek().kind == "comma":
-                self.advance()
-                values.append(self.int_value())
-            self.expect("rbrace", "'}'")
-            return ConstraintSet(frozenset(values))
+            return ConstraintSet(frozenset(self.items(self.int_value)))
         if tok.kind == "int":
             lo = self.int_value()
             self.expect("dotdot", "'..'")
@@ -246,26 +241,27 @@ class _Parser:
         tok = self.expect("int", "an integer")
         return int(tok.text)
 
+    def items(self, item) -> list:
+        """The comma-separated values ``item`` reads, up to and through the closing ``}``."""
+        values = [item()]
+        while self.peek().kind == "comma":
+            self.advance()
+            values.append(item())
+        self.expect("rbrace", "'}'")
+        return values
+
     def varset(self) -> VarSet:
         self.expect("lbrace", "'{'")
         if self.peek().kind == "rbrace":
             self.advance()
             return VarSet.empty(self.universe)
-        names = [self.name_value()]
-        while self.peek().kind == "comma":
-            self.advance()
-            names.append(self.name_value())
-        self.expect("rbrace", "'}'")
-        mask = 0
-        for name_tok in names:
-            try:
-                mask |= 1 << self.universe.index(name_tok.text)
-            except UnknownVariable:
-                raise UnknownVariable(
-                    f"unknown variable {name_tok.text!r}",
-                    span=_byte_span(self.text, name_tok.cstart, name_tok.cend),
-                ) from None
-        return VarSet(self.universe, mask)
+        names = self.items(self.name_value)
+        try:
+            return VarSet.of_names(self.universe, [tok.text for tok in names])
+        except UnknownVariable as exc:
+            tok = next(tok for tok in names if tok.text not in self.universe)
+            exc.span = _byte_span(self.text, tok.cstart, tok.cend)
+            raise
 
     def name_value(self) -> Token:
         tok = self.peek()

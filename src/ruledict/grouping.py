@@ -25,6 +25,7 @@ from .core import (
     Universe,
     VarSet,
     read_brace_lines,
+    read_name_arrays,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -82,11 +83,7 @@ class GroupingStructure(Record):
 
     @classmethod
     def from_json_obj(cls, u: Universe, obj) -> "GroupingStructure":
-        if not isinstance(obj, list) or not all(
-            isinstance(e, list) and all(isinstance(name, str) for name in e) for e in obj
-        ):
-            raise InvalidGrouping("grouping JSON must be an array of name arrays")
-        return cls(u, tuple(VarSet.of_names(u, e) for e in obj))
+        return cls(u, read_name_arrays(u, obj, InvalidGrouping, "grouping"))
 
 
 class Method(enum.Enum):

@@ -195,7 +195,7 @@ def fit_ols(d: Dataset, s: VarSet) -> FitResult:
     if s.universe != d.universe:
         raise SchemaMismatch("subset and dataset use different universes")
     Z, tss = _shared(d)
-    return _fit(Z, d.y, [0] + [d.universe.index(name) + 1 for name in s], s, tss)
+    return _fit(Z, d.y, [0] + [i + 1 for i in range(s.universe.size) if s.mask >> i & 1], s, tss)
 
 
 def score(f: FitResult, criterion: str, n: int) -> float:

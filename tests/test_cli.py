@@ -26,9 +26,11 @@ from ruledict import (
     format_rule,
     make_universe,
     parse_rule,
+    read_rule_document,
     sequential_nodes,
 )
 from ruledict.core import Dictionary, parse_braced_names
+from ruledict.errors import UnknownVariable
 
 from oracles import lift
 
@@ -322,6 +324,17 @@ class TestDictCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error:")
 
+    def test_unknown_scope_name_keeps_its_span(self, tmp_path):
+        # Å is two bytes, so Zed, the second name of the scope, starts at byte 30.
+        text = "vars: Å, A\nselect {1} of {A, Zed}\n"
+        with pytest.raises(UnknownVariable) as exc:
+            read_rule_document(text)
+        assert (str(exc.value), exc.value.span) == ("unknown variable 'Zed'", (30, 33))
+        rule = tmp_path / "r.rule"
+        rule.write_text(text, encoding="utf-8")
+        proc = run_cli("dict", "--rule", str(rule))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: unknown variable 'Zed'\n")
+
     def test_enumeration_cap_env(self):
         proc = run_cli(
             "dict", "--rule", f"{RULES}/free_selection.rule",
@@ -353,10 +366,11 @@ class TestMalformedRuleJson:
             {"vars": ["A", "B"], "rule": {"op": "unit", "counts": [1], "scope": "A"}},
             {"vars": ["A", "B"], "rule": {"op": "unit", "counts": [[1]], "scope": ["A"]}},
             {"vars": ["A", "B"], "rule": {"op": "unit", "counts": [1.9], "scope": ["A"]}},
+            {"vars": ["A", "B"], "rule": {"op": "unit", "counts": [1], "scope": [["A"]]}},
             {"vars": 5, "rule": UNIT},
         ],
         ids=["no-scope", "array-node", "no-op", "no-right", "number-child",
-             "string-scope", "nested-count", "fractional-count", "number-vars"],
+             "string-scope", "nested-count", "fractional-count", "nested-name", "number-vars"],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, doc):
         rule = tmp_path / "r.rule.json"

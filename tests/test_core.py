@@ -1,6 +1,7 @@
 import ast
 import enum
 import os
+import pickle
 import random
 import time
 from functools import reduce
@@ -71,6 +72,19 @@ class TestUniverse:
     def test_unknown_index(self, abc):
         with pytest.raises(UnknownVariable):
             abc.index("Z")
+
+    def test_index_matches_the_name_tuple(self):
+        names = [f"x{i}" for i in range(64)]
+        u = make_universe(names)
+        assert [u.index(n) for n in names] == [names.index(n) for n in names]
+        with pytest.raises(UnknownVariable, match="^unknown variable 'x64'$"):
+            u.index("x64")
+        with pytest.raises(UnknownVariable, match=r"^unknown variable \['x0'\]$"):
+            u.index(["x0"])
+        again = pickle.loads(pickle.dumps(u))
+        assert again == u and [again.index(n) for n in names] == list(range(64)) and "x63" in again
+        # Built directly, a repeated name resolves to its first place, as tuple.index does.
+        assert Universe(("A", "B", "A")).index("A") == 0
 
     def test_empty_universe_allowed(self):
         u = make_universe([])

@@ -124,6 +124,20 @@ class TestGroupingStructure:
         with pytest.raises(InvalidGrouping, match="^grouping JSON must be an array of name arrays$"):
             GroupingStructure.from_json_obj(abcd, [["A", 1], ["B"]])
 
+    @pytest.mark.parametrize(
+        "obj", [{"groups": []}, [["A"], "B"], [["A", 1], ["B"]]],
+        ids=["not-a-list", "non-list-entry", "non-string-name"],
+    )
+    def test_json_shape_checked_as_for_dictionaries(self, abcd, obj):
+        # One reader checks both shapes; each class keeps its own error and text.
+        for cls, error, what in (
+            (Dictionary, ParseError, "dictionary"),
+            (GroupingStructure, InvalidGrouping, "grouping"),
+        ):
+            with pytest.raises(error) as exc:
+                cls.from_json_obj(abcd, obj)
+            assert (type(exc.value), str(exc.value)) == (error, f"{what} JSON must be an array of name arrays")
+
 
 class TestUnionClosure:
     def test_singletons_give_powerset(self, ab):
