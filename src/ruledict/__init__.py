@@ -29,6 +29,7 @@ from .errors import (
     ArityMismatch,
     ConstantOutcome,
     DatasetTooSmall,
+    DomainError,
     DuplicateVariable,
     EmptyDictionary,
     EnumerationTooLarge,

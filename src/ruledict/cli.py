@@ -31,18 +31,8 @@ from .core import (
     make_universe,
     parse_braced_names,
 )
-from .dsl import format_rule, read_rule_document
-from .errors import (
-    EmptyDictionary,
-    IncompatibleGrouping,
-    InvalidStageResult,
-    ParseError,
-    RankDeficient,
-    RuledictError,
-    SynthesisFailure,
-    Underdetermined,
-    UseClosureInstead,
-)
+from .dsl import format_rule, is_rule_name, read_rule_document, split_names
+from .errors import DomainError, ParseError, RuledictError, SynthesisFailure
 from .rules import (
     StageResult,
     eval_rule,
@@ -50,17 +40,6 @@ from .rules import (
     rule_from_dictionary,
     rules_equivalent,
     sequential_nodes,
-)
-
-# Errors that are verdicts about the domain objects, not about the input.
-_DOMAIN_ERRORS = (
-    EmptyDictionary,
-    InvalidStageResult,
-    IncompatibleGrouping,
-    UseClosureInstead,
-    RankDeficient,
-    Underdetermined,
-    SynthesisFailure,
 )
 
 
@@ -233,8 +212,7 @@ def _max_enum() -> int:
 def _parse_vars(spec: str | None) -> Universe | None:
     if spec is None:
         return None
-    names = [p.strip() for p in spec.split(",") if p.strip()]
-    return make_universe(names)
+    return make_universe(split_names(spec))
 
 
 def _read(path: str):
@@ -401,6 +379,9 @@ def _cmd_select(args) -> int:
 
 def _cmd_from_dict(args) -> int:
     u = _parse_vars(args.vars)  # argparse requires --vars here
+    for name in u.names:
+        if not is_rule_name(name):
+            raise RuledictError(f"rule text cannot name the variable {name!r}")
     d = _load_family(args.dict, u, Dictionary, "dictionary")
     expr = rule_from_dictionary(u, d)
     _emit(
@@ -477,7 +458,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         payload = {"error": _error_tag(exc), "message": str(exc)}
         if isinstance(exc, SynthesisFailure):
             payload["reason"] = exc.reason

@@ -109,14 +109,27 @@ class Record:
 
 
 class Universe(Record):
-    """An ordered, immutable set of covariate names with stable indices."""
+    """An ordered, immutable set of covariate names with stable indices.
+
+    Names are non-empty strings (else :class:`ParseError`), at most 64 (else
+    :class:`UniverseTooLarge`), and none repeats (else :class:`DuplicateVariable`).
+    """
 
     __slots__ = ("names", "_index")
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        # Name to index, the first occurrence winning as with ``names.index``.
-        object.__setattr__(self, "_index", {n: i for i, n in reversed(list(enumerate(self.names)))})
+        index = {}
+        for i, n in enumerate(self.names):
+            if not isinstance(n, str) or not n:
+                raise ParseError(f"invalid variable name {n!r}")
+            index.setdefault(n, i)
+        if len(self.names) > MAX_UNIVERSE:
+            raise UniverseTooLarge(f"{len(self.names)} covariates exceed the cap of {MAX_UNIVERSE}")
+        if len(index) < len(self.names):
+            first = next(n for i, n in enumerate(self.names) if index[n] != i)
+            raise DuplicateVariable(f"duplicate variable {first!r}")
+        object.__setattr__(self, "_index", index)
 
     @property
     def size(self) -> int:
@@ -145,33 +158,8 @@ class Universe(Record):
 
 
 def make_universe(names: Iterable[str]) -> Universe:
-    """Build a :class:`Universe` from an ordered list of names.
-
-    Parameters
-    ----------
-    names
-        Covariate names, each a non-empty string. Order is preserved and
-        determines every index used by masks and canonical forms.
-
-    Raises
-    ------
-    DuplicateVariable
-        If a name repeats (exact string comparison).
-    UniverseTooLarge
-        If more than 64 names are given.
-    """
-    frozen = tuple(names)
-    for n in frozen:
-        if not isinstance(n, str) or not n:
-            raise ParseError(f"invalid variable name {n!r}")
-    if len(frozen) > MAX_UNIVERSE:
-        raise UniverseTooLarge(f"{len(frozen)} covariates exceed the cap of {MAX_UNIVERSE}")
-    seen = set()
-    for n in frozen:
-        if n in seen:
-            raise DuplicateVariable(f"duplicate variable {n!r}")
-        seen.add(n)
-    return Universe(frozen)
+    """A :class:`Universe` of ``names``, in their order, which fixes every mask and canonical form."""
+    return Universe(tuple(names))
 
 
 class VarSet(Record):

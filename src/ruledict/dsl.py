@@ -77,11 +77,11 @@ def _byte_span(text: str, cstart: int, cend: int) -> SourceSpan:
     return SourceSpan(start, end)
 
 
-def _tokenize(text: str) -> list[Token]:
-    # One scan: every character starts a match, the last group catching
-    # any character no token can start with.
+def _tokenize(text: str, pos: int = 0) -> list[Token]:
+    # One scan from ``pos``: every character starts a match, the last
+    # group catching any character no token can start with.
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, pos):
         kind = m.lastgroup
         if kind in ("ws", "comment"):
             continue
@@ -98,6 +98,12 @@ def _tokenize(text: str) -> list[Token]:
         tokens.append(Token(kind, word, start, end))
     tokens.append(Token("eof", "", len(text), len(text)))
     return tokens
+
+
+def is_rule_name(name: str) -> bool:
+    """Whether rule text can write ``name``: one name token, and no keyword."""
+    m = _TOKEN_RE.fullmatch(name)
+    return m is not None and m.lastgroup == "name" and name not in _KEYWORDS
 
 
 # Precedence levels; higher binds tighter. Arrows are right-associative,
@@ -141,10 +147,10 @@ def _reduce(args: list, ops: list, level: int, right_assoc: bool) -> None:
 
 
 class _Parser:
-    def __init__(self, text: str, universe: Universe):
+    def __init__(self, text: str, universe: Universe, pos: int = 0):
         self.text = text
         self.universe = universe
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, pos)
         self.pos = 0
 
     def peek(self) -> Token:
@@ -288,6 +294,11 @@ def parse_rule(text: str, u: Universe) -> RuleExpr:
 _VARS_RE = re.compile(r"^\s*vars\s*:\s*(.*)$")
 
 
+def split_names(text: str) -> list[str]:
+    """The names of a comma-separated list such as ``A, B,C``, stripped, empty ones dropped."""
+    return [p.strip() for p in text.split(",") if p.strip()]
+
+
 def read_rule_document(text: str, universe: Universe | None = None) -> tuple[Universe, RuleExpr]:
     """Parse a rule file: optional ``vars:`` preamble, then one rule.
 
@@ -304,7 +315,7 @@ def read_rule_document(text: str, universe: Universe | None = None) -> tuple[Uni
             continue
         m = _VARS_RE.match(stripped)
         if m:
-            names = [p.strip() for p in m.group(1).split(",") if p.strip()]
+            names = split_names(m.group(1))
             if not names:
                 raise ParseError(
                     "empty vars declaration",
@@ -322,9 +333,7 @@ def read_rule_document(text: str, universe: Universe | None = None) -> tuple[Uni
             span=SourceSpan(0, 0),
             expected=["'vars:' preamble"],
         )
-    # The preamble as one space per byte, so the rule's spans count from the document's start.
-    body = " " * len(text[:preamble].encode("utf-8")) + text[preamble:]
-    return universe, parse_rule(body, universe)
+    return universe, _Parser(text, universe, preamble).parse()
 
 
 # ---------------------------------------------------------------------------

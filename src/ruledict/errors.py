@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from :class:`RuledictError` so callers
-can catch the whole family at once. The CLI maps these onto exit codes; the
-split between "computed a negative verdict" and "could not compute" lives
-there, not here.
+can catch the whole family at once. A :class:`DomainError` is a negative
+verdict computed about valid inputs; every other error means the inputs
+could not be processed.
 """
 
 from __future__ import annotations
@@ -11,6 +11,10 @@ from __future__ import annotations
 
 class RuledictError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class DomainError(RuledictError):
+    """A negative verdict computed about valid inputs, such as "no grouping exists"."""
 
 
 class DuplicateVariable(RuledictError):
@@ -33,7 +37,7 @@ class MissingStageResult(RuledictError):
     """A sequential rule was evaluated without its first-stage outcome."""
 
 
-class InvalidStageResult(RuledictError):
+class InvalidStageResult(DomainError):
     """A supplied first-stage outcome is not in the first stage's dictionary."""
 
 
@@ -96,15 +100,15 @@ class ConstantOutcome(RuledictError):
     """A criterion that divides by the outcome's variation met an outcome with none."""
 
 
-class RankDeficient(RuledictError):
+class RankDeficient(DomainError):
     """The design matrix for a requested fit does not have full column rank."""
 
 
-class Underdetermined(RuledictError):
+class Underdetermined(DomainError):
     """A fit was requested with more parameters than observations."""
 
 
-class EmptyDictionary(RuledictError):
+class EmptyDictionary(DomainError):
     """Model selection was asked to rank over an empty dictionary.
 
     This happens exactly when the underlying rule is incoherent: no subset of
@@ -116,11 +120,11 @@ class InvalidGrouping(RuledictError):
     """A grouping structure violates its invariants (empty group, bad cover, duplicate)."""
 
 
-class IncompatibleGrouping(RuledictError):
+class IncompatibleGrouping(DomainError):
     """A grouping structure fails a method's structural restriction."""
 
 
-class UseClosureInstead(RuledictError):
+class UseClosureInstead(DomainError):
     """The latent-overlapping method has no template rule.
 
     Its dictionary is the union closure of the grouping; build a rule from
@@ -128,7 +132,7 @@ class UseClosureInstead(RuledictError):
     """
 
 
-class SynthesisFailure(RuledictError):
+class SynthesisFailure(DomainError):
     """A dictionary admits no generating grouping structure.
 
     ``reason`` is one of "missing-empty-set", "missing-full-set",

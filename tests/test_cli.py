@@ -398,6 +398,26 @@ class TestMalformedDictJson:
         assert proc.stderr == b"error: dictionary JSON must be an array of name arrays\n"
 
 
+class TestFromDictNames:
+    """``from-dict`` prints only rules that ``dict`` can read back."""
+
+    @pytest.mark.parametrize("names,bad", [("Å,A", "Å"), ("A B", "A B"), ("and,B", "and")])
+    def test_refuses_a_name_rule_text_cannot_write(self, tmp_path, names, bad):
+        path = tmp_path / "x.dict"
+        path.write_text("{}\n")
+        proc = run_cli("from-dict", "--dict", str(path), "--vars", names)
+        _assert_one_error_line(proc.returncode, proc.stderr)
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == f"error: rule text cannot name the variable {bad!r}\n"
+
+    def test_other_commands_keep_such_names(self, tmp_path):
+        path = tmp_path / "r.rule.json"
+        path.write_text(json.dumps({"rule": {"op": "unit", "counts": [1], "scope": ["A B"]}}))
+        proc = run_cli("dict", "--rule", str(path), "--vars", "A B,Å")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["dictionary"] == [["A B"], ["A B", "Å"]]
+
+
 class TestInputEncoding:
     """Rule, grouping and dictionary files are read as UTF-8, a byte order mark dropped."""
 

@@ -83,8 +83,36 @@ class TestUniverse:
             u.index(["x0"])
         again = pickle.loads(pickle.dumps(u))
         assert again == u and [again.index(n) for n in names] == list(range(64)) and "x63" in again
-        # Built directly, a repeated name resolves to its first place, as tuple.index does.
-        assert Universe(("A", "B", "A")).index("A") == 0
+        # Built directly, a repeated name is refused as make_universe refuses it.
+        with pytest.raises(DuplicateVariable):
+            Universe(("A", "B", "A"))
+
+    @pytest.mark.parametrize(
+        "names,error,message",
+        [
+            (("A", 3), ParseError, "invalid variable name 3"),
+            (("A", ""), ParseError, "invalid variable name ''"),
+            (("A", "A", ""), ParseError, "invalid variable name ''"),  # names are checked before repeats
+            (tuple(f"x{i}" for i in range(65)), UniverseTooLarge, "65 covariates exceed the cap of 64"),
+            (("A",) * 65, UniverseTooLarge, "65 covariates exceed the cap of 64"),  # the size before repeats
+            (("A", "B", "B", "A"), DuplicateVariable, "duplicate variable 'B'"),
+        ],
+        ids=["non-string", "empty", "empty-and-repeated", "65-names", "65-repeats", "repeated"],
+    )
+    def test_constructor_checks_as_make_universe(self, names, error, message):
+        for build in (Universe, make_universe):
+            with pytest.raises(error) as exc:
+                build(names)
+            assert type(exc.value) is error and str(exc.value) == message
+
+    def test_pickling_keeps_and_checks_the_names(self):
+        u = make_universe([f"x{i}" for i in range(64)])
+        again = pickle.loads(pickle.dumps(u))
+        assert again == u and again.index("x63") == 63
+        # "Q" occurs nowhere else in the pickle, so this repeats "A".
+        data = pickle.dumps(make_universe(["A", "Q"])).replace(b"Q", b"A")
+        with pytest.raises(DuplicateVariable, match="^duplicate variable 'A'$"):
+            pickle.loads(data)
 
     def test_empty_universe_allowed(self):
         u = make_universe([])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ruledict.core import ConstraintSet, VarSet, make_universe
-from ruledict.dsl import format_rule, parse_rule, read_rule_document
+from ruledict.dsl import format_rule, is_rule_name, parse_rule, read_rule_document, split_names
 from ruledict.errors import ParseError, UnknownVariable
 from ruledict.rules import (
     And,
@@ -172,6 +172,24 @@ class TestParseErrors:
         assert exc.value.span == (20, 21)
 
 
+class TestNames:
+    @pytest.mark.parametrize("name", ["A", "_", "x_1", "B2", "selected", "Of"])
+    def test_rule_names(self, name):
+        assert is_rule_name(name)
+        assert parse_rule(f"select {{1}} of {{{name}}}", make_universe([name]))
+
+    @pytest.mark.parametrize("name", ["Å", "A B", "1x", "x-1", "A\n", "#x", "12", "", "select", "of", "and", "or", "not"])
+    def test_names_rule_text_cannot_write(self, name):
+        assert not is_rule_name(name)
+
+    @pytest.mark.parametrize(
+        "text,names",
+        [("A, B,C", ["A", "B", "C"]), (" A ,, B ,", ["A", "B"]), (",", []), ("", []), ("A B, Å", ["A B", "Å"])],
+    )
+    def test_split_names(self, text, names):
+        assert split_names(text) == names
+
+
 class TestRuleDocument:
     def test_vars_preamble(self):
         u, expr = read_rule_document("vars: A, B\nselect {1} of {A}")
@@ -215,6 +233,27 @@ class TestRuleDocument:
         ids=["unknown-variable", "empty-vars", "end-of-input"],
     )
     def test_spans_count_from_the_document_start(self, text, error, message, span):
+        with pytest.raises(error) as exc:
+            read_rule_document(text)
+        assert (str(exc.value), exc.value.span) == (message, span)
+
+    @pytest.mark.parametrize(
+        "text,error,message,span",
+        [
+            ("vars: A, B\r\n\r\nselect {1} of {A, C}\r\n", UnknownVariable, "unknown variable 'C'", (32, 33)),
+            ("\tvars: A, B\nselect {1} of {Q}", UnknownVariable, "unknown variable 'Q'", (27, 28)),
+            ("vars: A, B  # the universe\nselect {1} of {Q}", UnknownVariable, "unknown variable 'Q'", (42, 43)),
+            ("\n# note\n   \nvars: A\nselect {1} of {Q}", UnknownVariable, "unknown variable 'Q'", (35, 36)),
+            ("# note\nvars: A, B", ParseError, "expected a rule, got end of input", (17, 17)),
+            # π, é and Å are two bytes each
+            ("# π\nvars: A\nselect {1} of {Q}", UnknownVariable, "unknown variable 'Q'", (28, 29)),
+            ("vars: é, A\nselect {1} of {Q}", UnknownVariable, "unknown variable 'Q'", (27, 28)),
+            ("# π\nvars: A\nselect {1} of {Å}", ParseError, "unexpected character 'Å'", (28, 30)),
+        ],
+        ids=["crlf", "tab-before-vars", "comment-after-names", "blank-and-comment-lines-first",
+             "vars-is-the-last-line", "two-byte-comment", "two-byte-name", "two-byte-bad-character"],
+    )
+    def test_rule_body_spans_after_the_preamble(self, text, error, message, span):
         with pytest.raises(error) as exc:
             read_rule_document(text)
         assert (str(exc.value), exc.value.span) == (message, span)

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ruledict import cli
+from ruledict import cli, errors
 
 from test_cli import ROOT, _assert_one_error_line, run_cli
 
@@ -297,3 +297,27 @@ def test_a_rule_dict_accepts_is_equivalent_to_itself(workdir, rule, flags):
     code, stdout, stderr = run_main(["equiv", *argv[1:3], "--rule2", argv[2], *flags], None, False)
     assert code == 0, stderr.decode()
     assert json.loads(stdout)["equivalent"] is True
+
+
+#: The errors that ``cli.main`` reports as a JSON document and exit 1.
+DOMAIN_ERRORS = {
+    errors.EmptyDictionary,
+    errors.InvalidStageResult,
+    errors.IncompatibleGrouping,
+    errors.UseClosureInstead,
+    errors.RankDeficient,
+    errors.Underdetermined,
+    errors.SynthesisFailure,
+}
+
+
+def test_exit_1_errors_are_exactly_the_domain_errors():
+    defined = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.RuledictError)}
+    assert {c for c in defined if issubclass(c, errors.DomainError)} == DOMAIN_ERRORS | {errors.DomainError}
+    assert not issubclass(errors.MissingStageResult, errors.DomainError)
+    for cls in sorted(defined, key=lambda c: c.__name__):
+        exc = cls("boom", "not-union-closed") if cls is errors.SynthesisFailure else cls("boom")
+        with mock.patch.object(cli, "_cmd_from_dict", side_effect=exc):
+            code, stdout, stderr = run_main(["from-dict", "--dict", "x.dict", "--vars", "A"], None, False)
+        assert_contract(code, stdout, stderr)
+        assert code == (1 if issubclass(cls, errors.DomainError) else 2), cls
