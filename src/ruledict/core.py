@@ -65,8 +65,6 @@ class Record:
         if fields:  # attrgetter gives a tuple for two or more names only
             get, many = attrgetter(*fields), len(fields) > 1
             cls._values = staticmethod(get if many else lambda record: (get(record),))
-            if not many and cls.__hash__ is Record.__hash__:  # no call through _values
-                cls.__hash__ = lambda record: hash((get(record),))
 
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(self._fields):
@@ -119,6 +117,7 @@ class Universe(Record):
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "names", tuple(self.names))  # a tuple is kept as it is
         index = {}
         for i, n in enumerate(self.names):
             if not isinstance(n, str) or not n:
@@ -159,7 +158,7 @@ class Universe(Record):
 
 def make_universe(names: Iterable[str]) -> Universe:
     """A :class:`Universe` of ``names``, in their order, which fixes every mask and canonical form."""
-    return Universe(tuple(names))
+    return Universe(names)
 
 
 class VarSet(Record):
@@ -169,11 +168,7 @@ class VarSet(Record):
     universe: Universe
     mask: int
 
-    def __init__(self, universe: Universe, mask: int) -> None:
-        # Written out, checks included: a VarSet is built for each entry and each model.
-        set_universe, set_mask = self._setters
-        set_universe(self, universe)
-        set_mask(self, mask)
+    def __post_init__(self) -> None:
         if self.mask < 0 or self.mask >> self.universe.size:
             raise UnknownVariable(
                 f"mask {self.mask:#x} has bits outside the {self.universe.size}-covariate universe"
@@ -264,34 +259,33 @@ class Dictionary:
     admitted, so set algebra is integer bit algebra. Over a larger
     universe the family is a sorted tuple of masks, since there the map
     costs more than it saves. The choice depends on the universe size
-    alone. ``masks()``, ``entries``, iteration and the lookup view are
-    built on first use: the bitmap's bytes, which membership tests index,
-    or the set of a tuple's masks, which the union checks probe. The JSON
-    writer reads :meth:`halves` instead, which decodes a bitmap one run at
-    a time, so no mask tuple of the whole family is built.
+    alone. ``masks()`` decodes a bitmap on each call, and ``entries`` and
+    iteration build their VarSets from it each time. Only ``_lookup`` is
+    kept, built on first use: a bitmap's little-endian bytes, which
+    membership tests, :meth:`halves` and :meth:`complements` read, or the
+    set of a tuple's masks, which the union checks probe. The JSON writer
+    reads :meth:`halves`, which decodes a bitmap one run at a time, so no
+    mask tuple of the whole family is built.
     """
 
-    __slots__ = ("universe", "_data", "_masks", "_entries", "_lookup")
+    __slots__ = ("universe", "_data", "_lookup")
 
     def __init__(self, universe: Universe, entries: Iterable[VarSet] = ()):
         entries = tuple(entries)
         for v in entries:
             if v.universe != universe:
                 raise UnknownVariable(f"entry {v.to_text()} is over another universe")
-        self._set(universe, _pack(universe, (v.mask for v in entries)))
-
-    def _set(self, universe: Universe, data) -> None:
         self.universe = universe
-        self._data = data
-        self._masks = None
-        self._entries = None
+        self._data = _pack(universe, (v.mask for v in entries))
         self._lookup = None
 
     @classmethod
     def _of(cls, universe: Universe, data) -> "Dictionary":
         """Wrap already-packed data (a bitmap or a sorted mask tuple)."""
         d = cls.__new__(cls)
-        d._set(universe, data)
+        d.universe = universe
+        d._data = data
+        d._lookup = None
         return d
 
     @property
@@ -346,16 +340,12 @@ class Dictionary:
 
     def masks(self) -> tuple[int, ...]:
         """Entry masks in ascending order."""
-        if self._masks is None:
-            self._masks = _bit_positions(self._data) if self._bitmap else self._data
-        return self._masks
+        return _bit_positions(self._data) if self._bitmap else self._data
 
     @property
     def entries(self) -> tuple[VarSet, ...]:
         """Entries as VarSets in canonical order."""
-        if self._entries is None:
-            self._entries = tuple(VarSet(self.universe, m) for m in self.masks())
-        return self._entries
+        return tuple(self)
 
     def __len__(self) -> int:
         return self._data.bit_count() if self._bitmap else len(self._data)
@@ -364,7 +354,14 @@ class Dictionary:
         return bool(self._data)
 
     def __iter__(self) -> Iterator[VarSet]:
-        return iter(self.entries)
+        return map(VarSet, repeat(self.universe), self.masks())
+
+    def _view(self):
+        """The lookup view, built on first use: a bitmap's little-endian bytes or a tuple's mask set."""
+        if self._lookup is None:
+            size = ((1 << self.universe.size) + 7) // 8
+            self._lookup = self._data.to_bytes(size, "little") if self._bitmap else set(self._data)
+        return self._lookup
 
     def halves(self, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Each high half ``h`` present (``m >> k``), ascending, with the ascending low halves of its entries.
@@ -381,7 +378,7 @@ class Dictionary:
                 yield high, tuple(map(and_, masks[start:end], repeat(low)))
                 start = end
             return
-        view, width = memoryview(self._data.to_bytes(((1 << self.universe.size) + 7) // 8, "little")), 1 << (k - 3)
+        view, width = memoryview(self._view()), 1 << (k - 3)
         decode = lru_cache((1 << 14) >> k)(_bit_positions)
         for high, i in enumerate(range(0, len(view), width)):
             if bits := int.from_bytes(view[i:i + width], "little"):
@@ -392,19 +389,10 @@ class Dictionary:
             return False  # never relabelled into this universe
         if self._bitmap:
             # Shifting the int would cost O(2**n) per test; a byte lookup is O(1).
-            if self._lookup is None:
-                self._lookup = self._data.to_bytes(((1 << self.universe.size) + 7) // 8, "little")
-            byte = v.mask >> 3
-            return byte < len(self._lookup) and bool(self._lookup[byte] >> (v.mask & 7) & 1)
+            return bool(self._view()[v.mask >> 3] >> (v.mask & 7) & 1)
         # Bisection spares a one-off test on a large tuple the lookup set.
         i = bisect_left(self._data, v.mask)
         return i < len(self._data) and self._data[i] == v.mask
-
-    def _mask_set(self) -> set[int]:
-        """A mask tuple's masks as a set, kept as its lookup view."""
-        if self._lookup is None:
-            self._lookup = set(self._data)
-        return self._lookup
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dictionary):
@@ -414,32 +402,25 @@ class Dictionary:
     def __hash__(self) -> int:
         return hash((self.universe, self._data))
 
-    def _require_same_universe(self, other: "Dictionary") -> None:
+    def _combine(self, other: "Dictionary", bits, masks) -> "Dictionary":
+        """``bits(this, other)`` of two bitmaps, or ``masks(the other's mask set, this tuple)``, sorted."""
         if self.universe != other.universe:
             raise UnknownVariable(
                 f"cannot combine dictionaries over different universes "
                 f"({self.universe.size} and {other.universe.size} covariates)"
             )
+        if self._bitmap:
+            return Dictionary._of(self.universe, bits(self._data, other._data))
+        return Dictionary._of(self.universe, tuple(sorted(masks(set(other._data), self._data))))
 
     def union(self, other: "Dictionary") -> "Dictionary":
-        self._require_same_universe(other)
-        if self._bitmap:
-            return Dictionary._of(self.universe, self._data | other._data)
-        return Dictionary._of(self.universe, tuple(sorted(set(self._data).union(other._data))))
+        return self._combine(other, or_, set.union)
 
     def intersection(self, other: "Dictionary") -> "Dictionary":
-        self._require_same_universe(other)
-        if self._bitmap:
-            return Dictionary._of(self.universe, self._data & other._data)
-        keep = set(other._data)
-        return Dictionary._of(self.universe, tuple(m for m in self._data if m in keep))
+        return self._combine(other, and_, set.intersection)
 
     def difference(self, other: "Dictionary") -> "Dictionary":
-        self._require_same_universe(other)
-        if self._bitmap:
-            return Dictionary._of(self.universe, self._data & ~other._data)
-        drop = set(other._data)
-        return Dictionary._of(self.universe, tuple(m for m in self._data if m not in drop))
+        return self._combine(other, lambda a, b: a & ~b, lambda drop, mine: [m for m in mine if m not in drop])
 
     def joined(self, mask: int) -> "Dictionary":
         """Every entry with the bits of ``mask`` set.
@@ -461,7 +442,7 @@ class Dictionary:
         of ``a`` is bit ``a | b`` of the family: one step per bit of ``a``.
         """
         if not self._bitmap:
-            present = self._mask_set()
+            present = self._view()
             return Dictionary._of(self.universe, tuple(b for b in self._data if a | b not in present))
         planes = var_planes(self.universe.size)
         proj = self._data
@@ -476,10 +457,10 @@ class Dictionary:
         if not self._bitmap:  # complementing reverses mask order
             return Dictionary._of(u, tuple(u.full_mask ^ m for m in reversed(self._data)))
         # Mask m maps to 2**n - 1 - m: the 2**n-bit map read backwards.
-        width, size = 1 << u.size, ((1 << u.size) + 7) // 8
+        view = self._view()
         reverse = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-        flipped = int.from_bytes(self._data.to_bytes(size, "big").translate(reverse), "little")
-        return Dictionary._of(u, flipped >> (8 * size - width))
+        flipped = int.from_bytes(view[::-1].translate(reverse), "little")
+        return Dictionary._of(u, flipped >> (8 * len(view) - (1 << u.size)))
 
     def union_generators(self) -> "tuple[Dictionary, bool]":
         """The union-irreducible entries, and whether the family is union-closed.
@@ -501,7 +482,7 @@ class Dictionary:
         """
         u, data = self.universe, self._data
         if not self._bitmap:
-            present, reached, generators = self._mask_set(), {0}, []
+            present, reached, generators = self._view(), {0}, []
             for m in data:
                 if m not in reached:
                     generators.append(m)
@@ -536,11 +517,11 @@ class Dictionary:
 
     def to_text(self) -> str:
         """One entry per line in canonical order, brace form per entry."""
-        return "\n".join(v.to_text() for v in self.entries)
+        return "\n".join(v.to_text() for v in self)
 
     def to_json_obj(self) -> list[list[str]]:
         """Array-of-arrays of names, canonical order."""
-        return [list(v) for v in self.entries]
+        return [list(v) for v in self]
 
     @classmethod
     def from_text(cls, universe: Universe, text: str) -> "Dictionary":

@@ -417,6 +417,28 @@ class TestFromDictNames:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["dictionary"] == [["A B"], ["A B", "Å"]]
 
+    @pytest.mark.parametrize("command", ["dict", "equiv", "synthesize"])
+    def test_printed_rule_writes_such_names_as_they_are(self, tmp_path, command):
+        """The ``rule`` field of the other commands is then not readable rule text."""
+        path = tmp_path / "r.rule.json"
+        path.write_text(json.dumps({"rule": {"op": "unit", "counts": [0, 1, 2], "scope": ["A B", "Å"]}}))
+        second = ["--rule2", str(path)] if command == "equiv" else []
+        proc = run_cli(command, "--rule", str(path), *second, "--vars", "A B,Å")
+        assert proc.returncode == 0, proc.stderr
+        assert b'\n  "rule": "select {0,1,2} of {A B,\\u00c5}",\n' in proc.stdout
+
+
+def test_empty_name_items(tmp_path):
+    """A braced list refuses an empty item; ``--vars`` drops it."""
+    proc = run_cli("dict", "--rule", f"{RULES}/sparse_groups.rule", "--stage", "{A,,B}")
+    _assert_one_error_line(proc.returncode, proc.stderr)
+    assert proc.stderr == b"error: empty name in set at stage result: '{A,,B}'\n"
+    rule = tmp_path / "r.rule"
+    rule.write_text("select {1} of {A,B}\n")
+    proc = run_cli("dict", "--rule", str(rule), "--vars", "A,,B")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["universe"] == ["A", "B"]
+
 
 class TestInputEncoding:
     """Rule, grouping and dictionary files are read as UTF-8, a byte order mark dropped."""

@@ -119,6 +119,19 @@ class TestUniverse:
         assert u.size == 0
         assert u.full_mask == 0
 
+    @pytest.mark.parametrize("build", [list, iter, lambda names: (n for n in names)], ids=["list", "iter", "generator"])
+    def test_any_iterable_of_names_is_held_as_a_tuple(self, build):
+        names = ("A", "B")
+        u = Universe(build(names))
+        assert type(u.names) is tuple and u.names == names
+        assert u == Universe(names) == make_universe(build(names)) and hash(u) == hash(Universe(names))
+        assert pickle.loads(pickle.dumps(u)) == u
+        v, d = VarSet(u, 1), Dictionary.from_masks(u, [1])
+        tuple_v, tuple_d = VarSet(make_universe("AB"), 1), Dictionary.from_masks(make_universe("AB"), [1])
+        assert v == tuple_v and hash(v) == hash(tuple_v)
+        assert d == tuple_d and hash(d) == hash(tuple_d)
+        assert v in tuple_d and tuple_v in d and VarSet(u, 2) not in tuple_d
+
 
 class TestVarSet:
     def test_mask_and_names(self, abc):
@@ -365,6 +378,54 @@ class TestStorageMethods:
         assert Dictionary.from_masks(u, [0]) and Dictionary.from_masks(u, [u.full_mask])
 
 
+class TestSharedViews:
+    """Reads of one Dictionary, in any order, give what a fresh Dictionary gives."""
+
+    READS = {
+        "in": lambda d, probes: [VarSet(d.universe, m) in d for m in probes],
+        "halves": lambda d, probes: [list(d.halves(k)) for k in range(d.universe.size + 2)],
+        "complements": lambda d, probes: d.complements(),
+        "masks": lambda d, probes: d.masks(),
+        "list": lambda d, probes: list(d),
+        "len": lambda d, probes: len(d),
+        "union_generators": lambda d, probes: d.union_generators(),
+        "unjoinable": lambda d, probes: [d.unjoinable(a) for a in probes[:8]],
+    }
+
+    def _check(self, u, masks, probes, seed):
+        rng = random.Random(seed)
+        orders = [list(self.READS), list(self.READS)[::-1]]
+        orders += [rng.sample(list(self.READS), len(self.READS)) * 2 for _ in range(3)]
+        for order in orders:
+            d = Dictionary.from_masks(u, masks)
+            for name in order:
+                fresh = Dictionary.from_masks(u, masks)
+                assert self.READS[name](d, probes) == self.READS[name](fresh, probes), (masks, order, name)
+                assert d == fresh and hash(d) == hash(fresh)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_family_over_few_variables(self, n):
+        u = make_universe([f"v{i}" for i in range(n)])
+        probes = list(range(1 << n))
+        for family in range(1 << (1 << n)):
+            self._check(u, [m for m in probes if family >> m & 1], probes, family)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 21])
+    @pytest.mark.parametrize("kind", ["random", "closed", "closed-but-empty"])
+    def test_seeded_families(self, n, kind):
+        """Random families, and union-closed ones with and without the empty set, as ``union_generators`` reads them."""
+        rng = random.Random(f"{n}:{kind}")
+        u = make_universe([f"v{i}" for i in range(n)])
+        if kind == "random":
+            masks = {rng.getrandbits(n) for _ in range(rng.choice([1, 12, 40, 200]))}
+        else:
+            masks = closure_by_sets([rng.getrandbits(n) for _ in range(5)], 2 ** 20)
+            if kind == "closed-but-empty":
+                masks.discard(0)
+        probes = [0, u.full_mask, *sorted(masks), *(rng.getrandbits(n) for _ in range(40))]
+        self._check(u, masks, probes, n)
+
+
 def _package_trees():
     """``(file name, syntax tree)`` for each module of the package."""
     package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "ruledict")
@@ -376,7 +437,7 @@ def _package_trees():
 
 def test_storage_stays_inside_core():
     """Only core.py may touch how a Dictionary is stored."""
-    private = {"_data", "_bitmap", "_of", "_bytes", "_lookup", "_mask_set"}
+    private = {"_data", "_bitmap", "_of", "_bytes", "_lookup", "_mask_set", "_view", "_combine"}
     internals = {"var_planes", "_bit_positions", "BITMAP_MAX_VARS"}
     leaks = []
     for name, tree in _package_trees():
