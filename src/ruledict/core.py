@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache, lru_cache, reduce
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations, filterfalse, repeat
 from operator import and_, attrgetter, or_
 from typing import Iterable, Iterator
 
@@ -403,7 +403,7 @@ class Dictionary:
         return hash((self.universe, self._data))
 
     def _combine(self, other: "Dictionary", bits, masks) -> "Dictionary":
-        """``bits(this, other)`` of two bitmaps, or ``masks(the other's mask set, this tuple)``, sorted."""
+        """``bits(this, other)`` of two bitmaps, or ``masks(the other's mask tuple, this tuple)``, sorted."""
         if self.universe != other.universe:
             raise UnknownVariable(
                 f"cannot combine dictionaries over different universes "
@@ -411,16 +411,19 @@ class Dictionary:
             )
         if self._bitmap:
             return Dictionary._of(self.universe, bits(self._data, other._data))
-        return Dictionary._of(self.universe, tuple(sorted(masks(set(other._data), self._data))))
+        return Dictionary._of(self.universe, tuple(sorted(masks(other._data, self._data))))
 
     def union(self, other: "Dictionary") -> "Dictionary":
-        return self._combine(other, or_, set.union)
+        return self._combine(other, or_, lambda theirs, mine: set(theirs).union(mine))
 
     def intersection(self, other: "Dictionary") -> "Dictionary":
-        return self._combine(other, and_, set.intersection)
+        # Only the smaller family becomes a set: the other may hold 2^20 masks.
+        return self._combine(
+            other, and_, lambda a, b: set(a).intersection(b) if len(a) <= len(b) else set(b).intersection(a)
+        )
 
     def difference(self, other: "Dictionary") -> "Dictionary":
-        return self._combine(other, lambda a, b: a & ~b, lambda drop, mine: [m for m in mine if m not in drop])
+        return self._combine(other, lambda a, b: a & ~b, lambda theirs, mine: filterfalse(set(theirs).__contains__, mine))
 
     def joined(self, mask: int) -> "Dictionary":
         """Every entry with the bits of ``mask`` set.

@@ -144,3 +144,7 @@ class SynthesisFailure(DomainError):
         super().__init__(message)
         self.reason = reason
         self.witness = witness
+
+    def __reduce__(self):
+        # Exceptions pickle and copy as cls(*args); args holds only the message.
+        return type(self), (*self.args, self.reason, self.witness), self.__dict__

@@ -52,20 +52,6 @@ class Dataset(Record):
         return self.y.shape[0]
 
 
-def _records(fh, path):
-    """The CSV records of the text file ``fh``, with a decoding error or a malformed
-    record raised as a ParseError that names ``path`` (``csv.field_size_limit``
-    is global to the process, so an over-long field is such a record)."""
-    rownum = 0
-    try:
-        for rownum, record in enumerate(csv.reader(fh), start=1):
-            yield record
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise ParseError(f"{path}: row {rownum + 1}: {exc}", row=rownum + 1) from None
-
-
 def _checked_values(record: list[str], rownum: int, needed: list[str], cols: list[int]) -> list[float]:
     """The values of ``record`` at ``cols``, each cell checked in turn:
     the error for the first that is absent, missing, not a number or not
@@ -97,35 +83,38 @@ def load_dataset(path, outcome: str, u: Universe) -> Dataset:
     """
     if outcome in u:
         raise SchemaMismatch(f"outcome column {outcome!r} is also a covariate")
+    needed = list(u.names) + [outcome]
+    flat = array("d")
+    rownum = 0  # the last record read, counting the header and blank records
     # utf-8-sig drops the byte order mark that spreadsheet tools write.
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _records(fh, path)
+        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch("empty file: no header row") from None
-        header = [h.strip() for h in header]
-        positions = {}
-        for idx, name in enumerate(header):
-            if name not in positions:
-                positions[name] = idx
-        needed = list(u.names) + [outcome]
-        for name in needed:
-            if name not in positions:
-                raise SchemaMismatch(f"missing column {name!r} in header")
-        cols = [positions[name] for name in needed]
-        flat = array("d")
-        for rownum, record in enumerate(reader, start=2):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            try:
-                values = [float(record[idx]) for idx in cols]
-            except (IndexError, ValueError):
-                values = None
-            # A non-finite sum flags a non-finite cell, or finite cells whose sum overflows.
-            if values is None or not math.isfinite(sum(values)):
-                values = _checked_values(record, rownum, needed, cols)
-            flat.fromlist(values)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaMismatch("empty file: no header row")
+            rownum = 1
+            header = [h.strip() for h in header]
+            missing = next((name for name in needed if name not in header), None)
+            if missing is not None:
+                raise SchemaMismatch(f"missing column {missing!r} in header")
+            cols = [header.index(name) for name in needed]
+            for rownum, record in enumerate(reader, start=2):
+                if not record or (len(record) == 1 and not record[0].strip()):
+                    continue
+                try:
+                    values = [float(record[idx]) for idx in cols]
+                except (IndexError, ValueError):
+                    values = None
+                # A non-finite sum flags a non-finite cell, or finite cells whose sum overflows.
+                if values is None or not math.isfinite(sum(values)):
+                    values = _checked_values(record, rownum, needed, cols)
+                flat.fromlist(values)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            # csv.field_size_limit is global to the process, so an over-long field lands here too.
+            raise ParseError(f"{path}: row {rownum + 1}: {exc}", row=rownum + 1) from None
     rows = len(flat) // len(cols)
     if rows < 2:
         raise DatasetTooSmall(f"need at least 2 data rows, found {rows}")

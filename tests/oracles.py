@@ -11,6 +11,7 @@ against these.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from ruledict.core import ConstraintSet, Dictionary, Universe, VarSet
 from ruledict.errors import (
+    ConstantOutcome,
     DatasetTooSmall,
     EmptyDictionary,
     EnumerationTooLarge,
@@ -44,9 +46,6 @@ from ruledict.select import (
     FitResult,
     RankedModels,
     ScoredModel,
-    _fold_bounds,
-    _records,
-    score,
 )
 
 
@@ -178,6 +177,32 @@ def normal_equations_fit(design: np.ndarray, y: np.ndarray) -> np.ndarray:
 # library must match it bit for bit.
 
 
+def _fold_bounds(n: int, folds: int) -> list[tuple[int, int]]:
+    """Contiguous blocks whose sizes differ by at most one, the larger ones first."""
+    base, rem = divmod(n, folds)
+    starts = [i * base + min(i, rem) for i in range(folds + 1)]
+    return list(zip(starts, starts[1:]))
+
+
+def score(f: FitResult, criterion: str, n: int) -> float:
+    """The aic, bic and adjr2 scores in the library's operation order, so that
+    the bits match: gaussian profile likelihood with the variance as one more
+    parameter, adjusted R-squared negated, and -inf for a perfect fit."""
+    if f.rss == 0.0:
+        return float("-inf")
+    if criterion == "aic":
+        return n * math.log(f.rss / n) + 2 * (f.k + 1)
+    if criterion == "bic":
+        return n * math.log(f.rss / n) + (f.k + 1) * math.log(n)
+    if n <= f.k:
+        raise DatasetTooSmall(f"adjusted r2 needs n > {f.k}, have n={n}")
+    if f.tss == 0.0:
+        raise ConstantOutcome("adjusted r2 is undefined: every outcome value is the same")
+    r2 = 1.0 - f.rss / f.tss
+    adjusted = 1.0 - (1.0 - r2) * (n - 1) / (n - f.k)
+    return -adjusted
+
+
 def _design(d: Dataset, s: VarSet) -> np.ndarray:
     idx = [d.universe.index(name) for name in s]
     return np.column_stack([np.ones(d.n), d.X[:, idx]] if idx else [np.ones(d.n)])
@@ -306,6 +331,19 @@ def select_best(
 # same array, or the same error class and text.
 
 _FROZEN_MISSING_TOKENS = {"", "na", "nan", "n/a", "null", "none"}
+
+
+def _records(fh, path):
+    """The CSV records of ``fh``, with a decoding error or a malformed record
+    raised as a ParseError that names ``path`` and the 1-based record."""
+    rownum = 0
+    try:
+        for rownum, record in enumerate(csv.reader(fh), start=1):
+            yield record
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {rownum + 1}: {exc}", row=rownum + 1) from None
 
 
 def load_dataset(path, outcome: str, u: Universe) -> Dataset:

@@ -237,6 +237,27 @@ class TestDictionary:
         assert d1.intersection(d2).masks() == (2,)
         assert d1.difference(d2).masks() == (0, 1)
 
+    def test_intersection_sets_the_smaller_family(self):
+        """Two mask tuples meet through a set of the smaller one, whichever is on the left:
+        256 entries against 65,536 over 24 variables, where a set of the larger takes 2.5 MiB."""
+        import tracemalloc
+
+        from ruledict.rules import UnitRule, unit_dictionary
+
+        u = make_universe([f"v{i}" for i in range(24)])
+        low = (1 << 16) - 1
+        small = unit_dictionary(u, UnitRule(VarSet(u, low), ConstraintSet(frozenset({16}))))
+        large = unit_dictionary(u, UnitRule(VarSet(u, u.full_mask ^ low), ConstraintSet(frozenset({0}))))
+        assert (len(small), len(large)) == (256, 65536)
+        results, peaks = [], []
+        for a, b in ((small, large), (large, small)):
+            tracemalloc.start()
+            results.append(a.intersection(b).masks())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert results[0] == results[1] == (low,)
+        assert max(peaks) < 0.25 * 2**20, peaks
+
     @pytest.mark.parametrize("n", [3, 21])
     def test_entries_from_another_universe_rejected(self, n):
         """Entries over other names, or over another width, are not relabelled into the universe."""
@@ -449,6 +470,21 @@ def test_storage_stays_inside_core():
             elif isinstance(node, ast.ImportFrom):
                 leaks += [f"{name}:{node.lineno} import {a.name}" for a in node.names if a.name in internals]
     assert not leaks
+
+
+def test_oracles_borrow_no_private_helper():
+    """The references in ``oracles.py`` import no ``_``-prefixed name from the package:
+    a reference that runs the library's own helper cannot catch a fault in it."""
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    borrowed = [
+        f"{node.lineno} {node.module}.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ruledict"
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert not borrowed
 
 
 def test_os_exit_only_in_entry_and_workers():

@@ -16,9 +16,11 @@ be equivalent to itself under ``equiv``.
 """
 
 import contextlib
+import copy
 import io
 import json
 import os
+import pickle
 import re
 import sys
 import warnings
@@ -29,6 +31,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ruledict import cli, errors
+from ruledict.core import VarSet, make_universe
 
 from test_cli import ROOT, _assert_one_error_line, run_cli
 
@@ -321,3 +324,21 @@ def test_exit_1_errors_are_exactly_the_domain_errors():
             code, stdout, stderr = run_main(["from-dict", "--dict", "x.dict", "--vars", "A"], None, False)
         assert_contract(code, stdout, stderr)
         assert code == (1 if issubclass(cls, errors.DomainError) else 2), cls
+
+
+def test_errors_survive_pickle_and_copy():
+    """Every error class, built with its details, comes back from pickle, copy and deepcopy
+    with its type, text and details."""
+    u = make_universe(["A", "B", "C"])
+    details = {
+        errors.UnknownVariable: {"span": (3, 5)},
+        errors.ParseError: {"span": (0, 4), "expected": ["name"], "row": 7, "column": "y"},
+        errors.MissingValue: {"row": 3, "column": "A"},
+        errors.SynthesisFailure: {"reason": "not-union-closed", "witness": (VarSet(u, 1), VarSet(u, 2))},
+    }
+    defined = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.RuledictError)]
+    for cls in defined:
+        exc = cls("boom", **details.get(cls, {}))
+        for back in (pickle.loads(pickle.dumps(exc)), copy.copy(exc), copy.deepcopy(exc)):
+            assert type(back) is cls and str(back) == "boom"
+            assert vars(back) == vars(exc) == details.get(cls, {}), cls

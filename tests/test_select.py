@@ -148,8 +148,13 @@ class TestLoadDataset:
             load_dataset(path, "Y", abc)
 
     def test_duplicate_header_uses_first(self, tmp_path, abc):
+        """A name given twice, a covariate's or the outcome's, reads its first column."""
         path = write_csv(tmp_path, "A,B,C,Y,Y\n1,2,3,4,99\n5,6,7,8,99\n")
         d = load_dataset(path, "Y", abc)
+        assert d.y.tolist() == [4, 8]
+        path = write_csv(tmp_path, "B,A, B ,C,Y,A\n2,1,-2,3,4,-1\n6,5,-6,7,8,-5\n")
+        d = load_dataset(path, "Y", abc)
+        assert d.X.tolist() == [[1, 2, 3], [5, 6, 7]]
         assert d.y.tolist() == [4, 8]
 
     def test_first_failing_row_wins(self, tmp_path, abc):
