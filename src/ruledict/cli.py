@@ -196,17 +196,16 @@ def _number(value: float) -> str:
     return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
-def _max_enum() -> int:
-    raw = os.environ.get("RULEDICT_MAX_ENUM")
-    if raw is None:
-        return DEFAULT_MAX_ENUM
+def _rule_inputs(args) -> tuple:
+    """``(cap, u, expr)``: the enumeration cap, checked first, then the rule of ``--rule`` over ``--vars``."""
+    raw = os.environ.get("RULEDICT_MAX_ENUM", str(DEFAULT_MAX_ENUM))
     try:
-        value = int(raw)
+        cap = int(raw)
     except ValueError:
         raise RuledictError(f"RULEDICT_MAX_ENUM is not an integer: {raw!r}") from None
-    if value < 1:
-        raise RuledictError(f"RULEDICT_MAX_ENUM must be positive, got {value}")
-    return value
+    if cap < 1:
+        raise RuledictError(f"RULEDICT_MAX_ENUM must be positive, got {cap}")
+    return (cap, *_load_rule(args.rule, _parse_vars(args.vars)))
 
 
 def _parse_vars(spec: str | None) -> Universe | None:
@@ -286,8 +285,7 @@ def _stages_for(expr, u: Universe, stage_specs: list[str]):
 
 
 def _cmd_dict(args) -> int:
-    cap = _max_enum()
-    u, expr = _load_rule(args.rule, _parse_vars(args.vars))
+    cap, u, expr = _rule_inputs(args)
     stages, given = _stages_for(expr, u, args.stage)
     d = eval_rule(u, expr, stages=stages, max_entries=cap)
     payload = {
@@ -303,8 +301,7 @@ def _cmd_dict(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    cap = _max_enum()
-    u, e1 = _load_rule(args.rule, _parse_vars(args.vars))
+    cap, u, e1 = _rule_inputs(args)
     _, e2 = _load_rule(args.rule2, u)
     same = rules_equivalent(u, e1, e2, max_entries=cap)
     _emit(
@@ -319,8 +316,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cap = _max_enum()
-    u, expr = _load_rule(args.rule, _parse_vars(args.vars))
+    cap, u, expr = _rule_inputs(args)
     # Module attributes, so .grouping loads here (see _cmd_select).
     this = sys.modules[__name__]
     g = _load_family(args.grouping, u, this.GroupingStructure, "groups")
@@ -343,8 +339,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    cap = _max_enum()
-    u, expr = _load_rule(args.rule, _parse_vars(args.vars))
+    cap, u, expr = _rule_inputs(args)
     d = eval_rule(u, expr, max_entries=cap)
     g = sys.modules[__name__].synthesize_log_grouping(d)  # loads .grouping
     _emit(
@@ -358,8 +353,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    cap = _max_enum()
-    u, expr = _load_rule(args.rule, _parse_vars(args.vars))
+    cap, u, expr = _rule_inputs(args)
     d = eval_rule(u, expr, max_entries=cap)
     # Each fit is a solve of a few columns: a second OpenBLAS thread gains
     # nothing on it and waits out any process that holds the other core,

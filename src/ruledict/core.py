@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache, lru_cache, reduce
 from itertools import accumulate, combinations, filterfalse, repeat
+from math import comb
 from operator import and_, attrgetter, or_
 from typing import Iterable, Iterator
 
@@ -263,9 +264,9 @@ class Dictionary:
     iteration build their VarSets from it each time. Only ``_lookup`` is
     kept, built on first use: a bitmap's little-endian bytes, which
     membership tests, :meth:`halves` and :meth:`complements` read, or the
-    set of a tuple's masks, which the union checks probe. The JSON writer
-    reads :meth:`halves`, which decodes a bitmap one run at a time, so no
-    mask tuple of the whole family is built.
+    set of a tuple's masks, which the union checks and :meth:`negated`
+    probe. The JSON writer reads :meth:`halves`, which decodes a bitmap
+    one run at a time, so no mask tuple of the whole family is built.
     """
 
     __slots__ = ("universe", "_data", "_lookup")
@@ -305,7 +306,7 @@ class Dictionary:
 
     @classmethod
     def of_counts(
-        cls, universe: Universe, scope_mask: int, counts: Iterable[int]
+        cls, universe: Universe, scope_mask: int, counts: Iterable[int], max_entries: int = DEFAULT_MAX_ENUM
     ) -> "Dictionary":
         """Every subset whose overlap with ``scope_mask`` has one of ``counts`` members.
 
@@ -317,9 +318,15 @@ class Dictionary:
         the scope subsets of each wanted count are listed directly, since
         the other layers can be far larger than the result. Each variable
         outside the scope then doubles the family. Counts above the scope
-        size contribute nothing. The caller bounds the result size.
+        size contribute nothing. A result over ``max_entries`` entries, by
+        the closed form sum of C(|scope|, c) * 2**(n - |scope|) over the
+        counts kept, raises EnumerationTooLarge before anything is listed.
         """
-        counts = sorted({c for c in counts if c <= scope_mask.bit_count()})
+        width = scope_mask.bit_count()
+        counts = sorted({c for c in counts if c <= width})
+        size = sum(comb(width, c) for c in counts) << (universe.size - width)
+        if size > max_entries:
+            raise EnumerationTooLarge(f"unit dictionary would have {size} entries, over the cap of {max_entries}")
         scope = [i for i in range(universe.size) if scope_mask >> i & 1]
         free = [i for i in range(universe.size) if not scope_mask >> i & 1]
         if universe.size <= BITMAP_MAX_VARS:
@@ -464,6 +471,19 @@ class Dictionary:
         reverse = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
         flipped = int.from_bytes(view[::-1].translate(reverse), "little")
         return Dictionary._of(u, flipped >> (8 * len(view) - (1 << u.size)))
+
+    def negated(self, max_entries: int) -> "Dictionary":
+        """Every subset of the universe that is not an entry.
+
+        The ``2**n`` subsets of the universe must not exceed ``max_entries``,
+        else EnumerationTooLarge is raised before anything is listed.
+        """
+        n = self.universe.size
+        if n > 63 or (1 << n) > max_entries:
+            raise EnumerationTooLarge(f"2^{n} subsets exceed the enumeration cap of {max_entries}")
+        if self._bitmap:
+            return Dictionary._of(self.universe, ((1 << (1 << n)) - 1) & ~self._data)
+        return Dictionary._of(self.universe, tuple(filterfalse(self._view().__contains__, range(1 << n))))
 
     def union_generators(self) -> "tuple[Dictionary, bool]":
         """The union-irreducible entries, and whether the family is union-closed.
@@ -671,24 +691,12 @@ class ConstraintSet(Record):
 def powerset(u: Universe, max_entries: int = DEFAULT_MAX_ENUM) -> Dictionary:
     """Every subset of the universe, as a Dictionary.
 
-    Parameters
-    ----------
-    u
-        The universe to enumerate.
-    max_entries
-        Enumeration cap; the result has ``2**u.size`` entries and that
-        number must not exceed this cap.
-
     Raises
     ------
     EnumerationTooLarge
         If ``2**u.size`` exceeds ``max_entries``.
     """
-    if u.size > 63 or (1 << u.size) > max_entries:
-        raise EnumerationTooLarge(
-            f"2^{u.size} subsets exceed the enumeration cap of {max_entries}"
-        )
-    return Dictionary.of_counts(u, 0, (0,))
+    return Dictionary(u).negated(max_entries)
 
 
 def dictionary_support(d: Dictionary) -> VarSet:

@@ -15,7 +15,6 @@ explicit input and a helper enumerates all possible outcomes instead.
 
 from __future__ import annotations
 
-import math
 import warnings
 from functools import reduce
 from typing import Callable, Iterator, Mapping
@@ -28,14 +27,13 @@ from .core import (
     Universe,
     VarSet,
     dictionary_support,
-    powerset,
 )
 from .errors import (
     ArityMismatch,
-    EnumerationTooLarge,
     InvalidStageResult,
     MissingStageResult,
     ParseError,
+    UnknownVariable,
     UnsupportedForEquivalence,
 )
 
@@ -256,13 +254,7 @@ def unit_dictionary(
     """
     if not is_coherent(rule):
         return Dictionary(u)
-    width = len(rule.scope)
-    count = sum(math.comb(width, c) for c in rule.constraint.counts) << (u.size - width)
-    if count > max_entries:
-        raise EnumerationTooLarge(
-            f"unit dictionary would have {count} entries, over the cap of {max_entries}"
-        )
-    return Dictionary.of_counts(u, rule.scope.mask, rule.constraint.counts)
+    return Dictionary.of_counts(u, rule.scope.mask, rule.constraint.counts, max_entries)
 
 
 def combine(
@@ -280,15 +272,21 @@ def combine(
 
     Raises
     ------
+    UnknownVariable
+        If a dictionary is over another universe than ``u``.
     ArityMismatch
         If ``d2`` is missing for a binary operation or supplied for "not".
     EnumerationTooLarge
         If complementation needs a powerset enumeration over the cap.
     """
+    for d in (d1, d2):
+        if d is not None and d.universe != u:
+            sizes = f"{u.size} and {d.universe.size}"
+            raise UnknownVariable(f"cannot combine dictionaries over different universes ({sizes} covariates)")
     if op == "not":
         if d2 is not None:
             raise ArityMismatch("'not' takes a single dictionary")
-        return powerset(u, max_entries).difference(d1)
+        return d1.negated(max_entries)
     if d2 is None:
         raise ArityMismatch(f"{op!r} needs two dictionaries")
     if op == "and":
@@ -298,7 +296,7 @@ def combine(
     if op != "implies":
         raise ArityMismatch(f"unknown operation {op!r}")
     # Outside d1 anything passes; inside it, d2 must hold too: not d1 or d2.
-    return powerset(u, max_entries).difference(d1).union(d2)
+    return d1.negated(max_entries).union(d2)
 
 
 def _check_sequential_scopes(d1: Dictionary, d2: Dictionary, stacklevel: int) -> None:

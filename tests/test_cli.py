@@ -351,6 +351,36 @@ class TestDictCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error:")
 
+    @pytest.mark.parametrize("n, rule, line", [
+        (21, "not select {0} of {v0}", b"error: 2^21 subsets exceed the enumeration cap of 1048576\n"),
+        (24, "select {1} of {v0}", b"error: unit dictionary would have 8388608 entries, over the cap of 1048576\n"),
+    ])
+    def test_enumeration_cap_error_lines(self, tmp_path, n, rule, line):
+        path = tmp_path / "r.rule"
+        path.write_text(f"vars: {', '.join(f'v{i}' for i in range(n))}\n{rule}\n")
+        proc = run_cli("dict", "--rule", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", line)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("dict", []), ("equiv", ["--rule2", "x"]), ("check", ["--grouping", "x", "--method", "log"]),
+        ("synthesize", []), ("select", ["--data", "x", "--outcome", "Y", "--criterion", "aic"]),
+    ])
+    def test_cap_is_read_before_the_rule(self, monkeypatch, capsys, tmp_path, command, extra):
+        from ruledict import cli
+
+        monkeypatch.setenv("RULEDICT_MAX_ENUM", "0")
+        assert cli.main([command, "--rule", str(tmp_path / "missing.rule"), *extra]) == 2
+        assert capsys.readouterr() == ("", "error: RULEDICT_MAX_ENUM must be positive, got 0\n")
+
+    def test_check_reads_the_grouping_before_it_evaluates(self, monkeypatch, capsys, tmp_path):
+        from ruledict import cli
+
+        monkeypatch.delenv("RULEDICT_MAX_ENUM", raising=False)
+        rule, missing = tmp_path / "r.rule", tmp_path / "missing.groups"
+        rule.write_text(f"vars: {', '.join(f'v{i}' for i in range(24))}\nselect {{1}} of {{v0}}\n")  # over the cap
+        assert cli.main(["check", "--rule", str(rule), "--grouping", str(missing), "--method", "log"]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
 
 class TestMalformedRuleJson:
     UNIT = {"op": "unit", "counts": [1], "scope": ["A"]}

@@ -3,9 +3,10 @@ import enum
 import os
 import pickle
 import random
+import re
 import time
 from functools import reduce
-from operator import le, or_
+from operator import eq, le, or_
 
 import pytest
 from hypothesis import given
@@ -399,6 +400,76 @@ class TestStorageMethods:
         assert Dictionary.from_masks(u, [0]) and Dictionary.from_masks(u, [u.full_mask])
 
 
+class TestCapPolicy:
+    """Where the enumeration cap applies: ``of_counts`` for unit families, ``negated`` for complements.
+
+    Each is checked against a plain scan of ``range(2**n)``, on the bitmap at
+    0-6 variables and on the mask tuple at 21, with the cap at the result
+    size (passes) and one below it (raises before anything is listed).
+    """
+
+    @staticmethod
+    def _negated_case(d, members):
+        """``d.negated`` against the masks of ``range(2**n)`` that are not in ``members``."""
+        n = d.universe.size
+        got = d.negated(1 << n).masks()
+        # Compared lazily: at 21 variables a second tuple of 2**21 ints would double the test's memory.
+        assert len(got) == (1 << n) - len(members)
+        assert all(map(eq, got, (m for m in range(1 << n) if m not in members)))
+        # ``match``, not ``as exc``: a kept traceback would hold this frame, and
+        # with it 2**21 masks, in a cycle until the next garbage collection.
+        text = f"2^{n} subsets exceed the enumeration cap of {(1 << n) - 1}"
+        with pytest.raises(EnumerationTooLarge, match=f"^{re.escape(text)}$"):
+            d.negated((1 << n) - 1)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_negated_on_the_bitmap(self, n):
+        u = make_universe([f"v{i}" for i in range(n)])
+        rng = random.Random(n)
+        for masks in ([], range(1 << n), [rng.getrandbits(n) for _ in range(1 << n >> 1)]):
+            self._negated_case(Dictionary.from_masks(u, masks), set(masks))
+
+    @pytest.mark.parametrize("kind", ["empty", "full", "random"])
+    def test_negated_on_the_mask_tuple(self, kind):
+        u = make_universe([f"v{i}" for i in range(21)])
+        if kind == "empty":
+            self._negated_case(Dictionary(u), ())
+        elif kind == "full":
+            self._negated_case(Dictionary.from_masks(u, range(1 << 21)), range(1 << 21))
+        else:
+            masks = set(random.Random(21).sample(range(1 << 21), 500))
+            self._negated_case(Dictionary.from_masks(u, masks), masks)
+
+    @staticmethod
+    def _of_counts_case(n, scope, counts):
+        u = make_universe([f"v{i}" for i in range(n)])
+        want = [m for m in range(1 << n) if (m & scope).bit_count() in counts]
+        assert Dictionary.of_counts(u, scope, counts, max_entries=len(want)).masks() == tuple(want)
+        text = f"unit dictionary would have {len(want)} entries, over the cap of {len(want) - 1}"
+        with pytest.raises(EnumerationTooLarge, match=f"^{re.escape(text)}$"):
+            Dictionary.of_counts(u, scope, counts, max_entries=len(want) - 1)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_of_counts_on_the_bitmap(self, n):
+        rng = random.Random(n)
+        self._of_counts_case(n, 0, [0])  # every subset
+        for _ in range(5):
+            scope = rng.getrandbits(n)
+            width = scope.bit_count()
+            # One count the scope can hold, and maybe some it cannot.
+            self._of_counts_case(n, scope, [rng.randint(0, width), *rng.sample(range(width + 3), 2)])
+
+    @pytest.mark.parametrize("scope, counts", [((1 << 21) - 1, [0, 1, 2, 21]), (0b111 << 18, [0, 2, 4])])
+    def test_of_counts_on_the_mask_tuple(self, scope, counts):
+        self._of_counts_case(21, scope, counts)
+
+    def test_of_counts_every_subset_over_the_cap(self):
+        u = make_universe([f"v{i}" for i in range(21)])
+        with pytest.raises(EnumerationTooLarge) as exc:
+            Dictionary.of_counts(u, 0, [0], max_entries=(1 << 21) - 1)
+        assert str(exc.value) == "unit dictionary would have 2097152 entries, over the cap of 2097151"
+
+
 class TestSharedViews:
     """Reads of one Dictionary, in any order, give what a fresh Dictionary gives."""
 
@@ -470,6 +541,13 @@ def test_storage_stays_inside_core():
             elif isinstance(node, ast.ImportFrom):
                 leaks += [f"{name}:{node.lineno} import {a.name}" for a in node.names if a.name in internals]
     assert not leaks
+
+
+def test_rules_leaves_the_cap_to_core():
+    """``rules.py`` neither sizes a unit nor builds a powerset: ``Dictionary`` decides where the cap applies."""
+    tree = dict(_package_trees())["rules.py"]
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert not imported & {"math", "powerset", "EnumerationTooLarge"}
 
 
 def test_oracles_borrow_no_private_helper():

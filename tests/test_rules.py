@@ -12,6 +12,7 @@ from ruledict.errors import (
     InvalidStageResult,
     MissingStageResult,
     ParseError,
+    UnknownVariable,
     UnsupportedForEquivalence,
 )
 from ruledict.rules import (
@@ -158,6 +159,15 @@ class TestCombine:
             combine("and", abcd, d)
         with pytest.raises(ArityMismatch):
             combine("nand", abcd, d, d)
+
+    @pytest.mark.parametrize("op", ["not", "and", "or", "implies"])
+    def test_every_op_checks_the_universe(self, op):
+        """A dictionary over another universe than ``u`` is refused, also when both operands share it."""
+        ab, abc = make_universe(["A", "B"]), make_universe(["A", "B", "C"])
+        d = Dictionary.from_masks(abc, [0, 5])
+        with pytest.raises(UnknownVariable) as exc:
+            combine(op, ab, d, None if op == "not" else d)
+        assert str(exc.value) == "cannot combine dictionaries over different universes (2 and 3 covariates)"
 
 
 class TestSequentialRestrict:
