@@ -22,7 +22,7 @@ import math
 import os
 import re
 import sys
-from functools import cache, lru_cache
+from functools import cache
 
 from .core import (
     DEFAULT_MAX_ENUM,
@@ -54,6 +54,12 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(package, name)
     return value
+
+
+# This module: a handler that reads a lazy name as its attribute loads that
+# name's module (``.grouping``, or numpy for ``select``) only when it runs,
+# and calls a name that was rebound (to time it, say) as rebound.
+_this = sys.modules[__name__]
 
 
 def _error_tag(exc: Exception) -> str:
@@ -106,8 +112,8 @@ def _write_dictionary(write, d: Dictionary) -> None:
     variables, and an entry's text joins the name block of its low half with
     those of its high half's ten-name slices: at most 1,024 blocks per slice,
     each made once, whatever the universe's width. :meth:`Dictionary.halves`
-    reads the runs of one high half straight from the storage, and the
-    ``2**14 >> k`` runs last used keep their list of low-half blocks and its
+    reads the runs of one high half straight from the storage, and hands each
+    distinct run once to the builder of its list of low-half blocks and its
     longest length. A run is cut into slices that this length bounds to
     :data:`_WRITE_BYTES`; each slice is one ``join``, and one piece to write.
     """
@@ -128,18 +134,15 @@ def _write_dictionary(write, d: Dictionary) -> None:
         text = "".join([names[start + i] for i in range(bits.bit_length()) if bits >> i & 1])
         return text if start else "[" + text[1:]
 
-    blocks = lru_cache((1 << 14) >> k)(lambda lows: (run := [*map(block, lows)], max(map(len, run))))
-
     def pieces():
         sep = "[\n    "
-        for high, lows in d.halves(k):
+        for high, (run, longest) in d.halves(k, lambda lows: (run := [*map(block, lows)], max(map(len, run)))):
             tail = "".join([block(start << 10 | high >> (start - k) & 1023) for start in range(k, len(names), 10)]) + "\n    ]"
-            run, longest = blocks(lows)
-            if not lows[0]:  # the high half's names alone
+            if run[0] == "[":  # low half 0, the one bare block: the high half's names alone
                 yield sep + ("[" + tail[1:] if high else "[]")
                 sep = ",\n    "
             step = max(1, _WRITE_BYTES // (longest + len(tail) + len(sep)))
-            for start in range(not lows[0], len(run), step):
+            for start in range(run[0] == "[", len(run), step):
                 yield sep
                 yield (tail + ",\n    ").join(run[start:start + step])
                 yield tail
@@ -205,13 +208,7 @@ def _rule_inputs(args) -> tuple:
         raise RuledictError(f"RULEDICT_MAX_ENUM is not an integer: {raw!r}") from None
     if cap < 1:
         raise RuledictError(f"RULEDICT_MAX_ENUM must be positive, got {cap}")
-    return (cap, *_load_rule(args.rule, _parse_vars(args.vars)))
-
-
-def _parse_vars(spec: str | None) -> Universe | None:
-    if spec is None:
-        return None
-    return make_universe(split_names(spec))
+    return (cap, *_load_rule(args.rule, None if args.vars is None else make_universe(split_names(args.vars))))
 
 
 def _read(path: str):
@@ -317,14 +314,12 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_check(args) -> int:
     cap, u, expr = _rule_inputs(args)
-    # Module attributes, so .grouping loads here (see _cmd_select).
-    this = sys.modules[__name__]
-    g = _load_family(args.grouping, u, this.GroupingStructure, "groups")
+    g = _load_family(args.grouping, u, _this.GroupingStructure, "groups")
     d = eval_rule(u, expr, max_entries=cap)
     if args.method == "log":
-        report = this.check_log_congruence(d, g, max_entries=cap)
+        report = _this.check_log_congruence(d, g, max_entries=cap)
     else:
-        report = this.check_ogl_necessary(d, g, max_entries=cap)
+        report = _this.check_ogl_necessary(d, g, max_entries=cap)
     payload = {
         "method": args.method,
         "congruent": report.congruent,
@@ -341,7 +336,7 @@ def _cmd_check(args) -> int:
 def _cmd_synthesize(args) -> int:
     cap, u, expr = _rule_inputs(args)
     d = eval_rule(u, expr, max_entries=cap)
-    g = sys.modules[__name__].synthesize_log_grouping(d)  # loads .grouping
+    g = _this.synthesize_log_grouping(d)
     _emit(
         {
             "universe": list(u.names),
@@ -360,11 +355,8 @@ def _cmd_select(args) -> int:
     # and select_best forks its workers only where no BLAS pool runs.
     # Read when numpy loads, so it holds unless numpy is already loaded.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    # Module attributes, so numpy loads here, and a name that was rebound
-    # (to time it, say) is called as rebound.
-    this = sys.modules[__name__]
-    data = this.load_dataset(args.data, args.outcome, u)
-    ranked = this.select_best(
+    data = _this.load_dataset(args.data, args.outcome, u)
+    ranked = _this.select_best(
         data, d, args.criterion, folds=args.folds, seed=args.seed
     )
     _write_ranking(u, ranked)
@@ -372,7 +364,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_from_dict(args) -> int:
-    u = _parse_vars(args.vars)  # argparse requires --vars here
+    u = make_universe(split_names(args.vars))  # argparse requires --vars here
     for name in u.names:
         if not is_rule_name(name):
             raise RuledictError(f"rule text cannot name the variable {name!r}")
@@ -465,6 +457,9 @@ def main(argv=None) -> int:
         # json.JSONDecodeError is a ValueError; so are bad numeric flags. A
         # Warning is raised when the warnings filter says "error".
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:  # its text is usually empty
+        sys.stderr.write("error: out of memory\n")
         return 2
 
 

@@ -370,26 +370,27 @@ class Dictionary:
             self._lookup = self._data.to_bytes(size, "little") if self._bitmap else set(self._data)
         return self._lookup
 
-    def halves(self, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Each high half ``h`` present (``m >> k``), ascending, with the ascending low halves of its entries.
+    def halves(self, k: int, each=tuple) -> Iterator[tuple[int, object]]:
+        """Each high half ``h`` present (``m >> k``), ascending, with ``each`` of its entries' ascending low halves.
 
-        For ``k >= 3`` a bitmap's runs are read from their own bytes, empty ones
-        skipped, and the ``2**14 >> k`` runs last used stay decoded, so equal
-        runs give one tuple; a mask tuple, or runs under a byte, are cut by bisection.
+        ``each`` runs once per distinct run among the ``2**14 >> k`` last used, keyed by its bits
+        (a bitmap's run, for ``k >= 3``, read from its own bytes) or else by its low halves.
         """
+        keep = lru_cache((1 << 14) >> k)
         if not self._bitmap or k < 3:
+            run = keep(each)
             masks, low, start = self.masks(), (1 << k) - 1, 0
             while start < len(masks):
                 high = masks[start] >> k
                 end = bisect_left(masks, (high + 1) << k, start)
-                yield high, tuple(map(and_, masks[start:end], repeat(low)))
+                yield high, run(tuple(map(and_, masks[start:end], repeat(low))))
                 start = end
             return
+        run = keep(lambda bits: each(_bit_positions(bits)))
         view, width = memoryview(self._view()), 1 << (k - 3)
-        decode = lru_cache((1 << 14) >> k)(_bit_positions)
         for high, i in enumerate(range(0, len(view), width)):
             if bits := int.from_bytes(view[i:i + width], "little"):
-                yield high, decode(bits)
+                yield high, run(bits)
 
     def __contains__(self, v: VarSet) -> bool:
         if v.universe is not self.universe and v.universe != self.universe:
@@ -483,7 +484,8 @@ class Dictionary:
             raise EnumerationTooLarge(f"2^{n} subsets exceed the enumeration cap of {max_entries}")
         if self._bitmap:
             return Dictionary._of(self.universe, ((1 << (1 << n)) - 1) & ~self._data)
-        return Dictionary._of(self.universe, tuple(filterfalse(self._view().__contains__, range(1 << n))))
+        # A set of its own: the operand's ``_view()`` would keep it.
+        return Dictionary._of(self.universe, tuple(filterfalse(set(self._data).__contains__, range(1 << n))))
 
     def union_generators(self) -> "tuple[Dictionary, bool]":
         """The union-irreducible entries, and whether the family is union-closed.

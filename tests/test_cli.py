@@ -255,6 +255,15 @@ class TestDictCommand:
         _assert_one_error_line(proc.returncode, proc.stderr)
         assert b"count range 0..1000000000 ends above 10000000" in proc.stderr
 
+    def test_running_out_of_memory_is_an_input_error(self, tmp_path):
+        # Ten million counts fill the capped address space while the rule is read.
+        rule = tmp_path / "r.rule"
+        rule.write_text("vars: A\nselect 0..10000000 of {A}\n")
+        proc = run_cli("dict", "--rule", str(rule), address_space=256 * 2**20, timeout=60)
+        assert proc.stdout == b""
+        _assert_one_error_line(proc.returncode, proc.stderr)
+        assert proc.stderr == b"error: out of memory\n"
+
     def test_stage_not_permitted_by_first_stage(self):
         proc = run_cli(
             "dict", "--rule", f"{RULES}/sparse_groups.rule", "--stage", "{A}"

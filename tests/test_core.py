@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 import time
+import tracemalloc
 from functools import reduce
 from operator import eq, le, or_
 
@@ -387,6 +388,35 @@ class TestStorageMethods:
         got = [(high, list(lows)) for high, lows in Dictionary.from_masks(u, masks).halves(k)]
         assert got == list(runs.items())
 
+    @given(families(), st.integers(0, 22))
+    def test_halves_hands_each_run_to_each(self, case, k):
+        d = Dictionary.from_masks(*case)
+        k %= d.universe.size + 2
+        assert list(d.halves(k, list)) == [(high, list(lows)) for high, lows in d.halves(k)]
+
+    @staticmethod
+    def _counted_halves(d, k):
+        """``(pairs, calls)``: what ``d.halves(k, each)`` yields, and the runs ``each`` was given."""
+        calls = []
+        pairs = list(d.halves(k, lambda lows: calls.append(lows) or len(calls)))
+        return pairs, calls
+
+    def test_halves_calls_each_once_per_distinct_run_on_the_bitmap(self):
+        u = make_universe([f"v{i}" for i in range(20)])
+        d = Dictionary.of_counts(u, u.full_mask, range(11))  # select 0..10 of all 20
+        pairs, calls = self._counted_halves(d, 10)
+        # A high half's run depends only on its size: 1,024 runs, 11 distinct.
+        assert len(pairs) == 1024 and len(calls) == len(set(calls)) == 11
+        assert [calls[n - 1] for _, n in pairs] == [lows for _, lows in d.halves(10)]
+
+    def test_halves_calls_each_once_per_distinct_run_on_the_mask_tuple(self):
+        u = make_universe([f"v{i}" for i in range(24)])
+        patterns = [(0, 5), (1, 2, 3), (1023,)]
+        d = Dictionary.from_masks(u, [h << 10 | low for h in range(0, 1 << 14, 7) for low in patterns[h % 3]])
+        pairs, calls = self._counted_halves(d, 10)
+        assert len(pairs) == len(range(0, 1 << 14, 7)) and sorted(calls) == patterns
+        assert [calls[n - 1] for _, n in pairs] == [lows for _, lows in d.halves(10)]
+
     @pytest.mark.parametrize("n", [5, 21])
     def test_known_families(self, n):
         u = make_universe([f"v{i}" for i in range(n)])
@@ -439,6 +469,18 @@ class TestCapPolicy:
         else:
             masks = set(random.Random(21).sample(range(1 << 21), 500))
             self._negated_case(Dictionary.from_masks(u, masks), masks)
+
+    def test_negated_keeps_no_lookup_set_on_the_mask_tuple(self):
+        u = make_universe([f"v{i}" for i in range(21)])
+        d = Dictionary.from_masks(u, range(0, 1 << 21, 2))
+        tracemalloc.start()
+        try:
+            assert len(d.negated(1 << 21)) == 1 << 20
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # A set of the operand's 2**20 masks, kept after the call, is 32 MiB.
+        assert kept < 2**20, kept
 
     @staticmethod
     def _of_counts_case(n, scope, counts):
@@ -591,6 +633,18 @@ def test_os_exit_only_in_entry_and_workers():
                 entry_calls.append((name, [ast.unparse(p.test) for p in enclosing(node) if isinstance(p, ast.If)]))
     assert sorted(exits) == [("cli.py", "entry", False), ("select.py", "_run_chunks", True)]
     assert entry_calls == [("cli.py", ["__name__ == '__main__'"])]
+
+
+def test_main_catches_no_exception_wholesale():
+    """No ``except`` clause in ``cli.main`` catches ``Exception`` or ``BaseException``, bare or named:
+    that would turn an engine bug into an input error."""
+    tree = dict(_package_trees())["cli.py"]
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = []
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            caught += [ast.unparse(name) for name in ast.walk(handler.type)] if handler.type else ["(bare)"]
+    assert caught and not {"(bare)", "Exception", "BaseException", "builtins.Exception", "builtins.BaseException"} & set(caught)
 
 
 class _Pair(Record):
